@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <deque>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "analyze/file_rules.h"
 #include "analyze/graph.h"
 #include "analyze/index.h"
 #include "analyze/source.h"
@@ -20,6 +22,32 @@ namespace fs = std::filesystem;
 constexpr const char* kHotSinks[] = {"new", "malloc", "make-unique-shared", "std-function",
                                      "container-growth"};
 constexpr const char* kDetSinks[] = {"wallclock", "rand", "unordered-iter", "pointer-keyed"};
+
+constexpr const char* kRuleIds[] = {
+    "ana-det-reach",
+    "ana-hot-alloc-reach",
+    "ana-include-cycle",
+    "ana-include-unused",
+    "ana-par-global-reach",
+    "ana-unused-suppression",
+    "det-rand",
+    "det-seeded-rng",
+    "det-unordered-iter",
+    "det-wallclock",
+    "docs-par-knob",
+    "docs-probe-dynamic",
+    "docs-probe-undocumented",
+    "docs-run-status",
+    "hot-heap-alloc",
+    "hot-marker-missing",
+    "hot-std-function",
+    "hot-vector-growth",
+    "layer-dag",
+    "layer-trace-header",
+    "par-engine-post",
+    "par-static-mutable",
+    "rob-exit",
+};
 
 // Modules whose code runs inside partition callbacks under the
 // parallel engine (everything the datapath executes; harness layers
@@ -61,8 +89,8 @@ std::string rel_to_root(const fs::path& p, const fs::path& root) {
   return rel.empty() ? p.generic_string() : rel;
 }
 
-// Mirrors hicc_lint's collect_files: directories walk recursively,
-// files are taken as-is, everything sorted and deduplicated.
+// Directories walk recursively, files are taken as-is, everything
+// sorted and deduplicated.
 bool collect_files(const Options& opts, const fs::path& root, std::set<std::string>* out,
                    std::string* err) {
   for (const std::string& arg : opts.paths) {
@@ -86,9 +114,17 @@ bool collect_files(const Options& opts, const fs::path& root, std::set<std::stri
   return true;
 }
 
+// The whole file, or "" when it cannot be read.
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 // ---- call graph ----------------------------------------------------
 
-void build_call_graph(Tree* tree) {
+void build_call_graph(Tree* tree, const LayerDag& dag) {
   // Flatten in file order (files map is sorted by path).
   std::map<std::string, std::vector<int>> by_name;
   for (const auto& [path, idx] : tree->index) {
@@ -97,16 +133,11 @@ void build_call_graph(Tree* tree) {
       tree->fns.push_back(&fn);
     }
   }
-  const auto& closure = layer_dag_closure();
   tree->callees.resize(tree->fns.size());
   for (std::size_t i = 0; i < tree->fns.size(); ++i) {
     const FunctionDef& f = *tree->fns[i];
     std::set<std::string> allowed;  // empty = allow every module
-    if (!f.module.empty()) {
-      allowed = {f.module, "common"};
-      auto it = closure.find(f.module);
-      if (it != closure.end()) allowed.insert(it->second.begin(), it->second.end());
-    }
+    if (!f.module.empty()) allowed = dag.allowed(f.module, /*transitive=*/true);
     std::set<int> outs;
     for (const CallSite& c : f.calls) {
       auto cand = by_name.find(c.callee);
@@ -195,34 +226,6 @@ void rule_include_cycle(const IncludeGraph& graph, std::vector<Diagnostic>* out)
   }
 }
 
-void rule_layer_transitive(const IncludeGraph& graph, std::vector<Diagnostic>* out) {
-  const auto& dag = layer_dag();
-  const auto& closure = layer_dag_closure();
-  for (const IncludeEdge& e : graph.edges()) {
-    std::string mod = path_module(e.from);
-    if (mod.empty() || dag.find(mod) == dag.end()) continue;
-    std::string target_mod = e.target.substr(0, e.target.find('/'));
-    if (dag.find(target_mod) == dag.end()) continue;
-    std::set<std::string> allowed = {mod, "common"};
-    auto it = closure.find(mod);
-    if (it != closure.end()) allowed.insert(it->second.begin(), it->second.end());
-    if (allowed.count(target_mod)) continue;
-    std::string allow_list;
-    for (const std::string& a : allowed) {
-      if (!allow_list.empty()) allow_list += ", ";
-      allow_list += a;
-    }
-    Diagnostic d;
-    d.file = e.from;
-    d.line = e.line;
-    d.col = e.col;
-    d.rule = "ana-layer-transitive";
-    d.message = "src/" + mod + " must not depend on src/" + target_mod +
-                " even transitively (closure: " + allow_list + "; DESIGN.md §9 DAG)";
-    out->push_back(std::move(d));
-  }
-}
-
 void rule_include_unused(const Tree& tree, const IncludeGraph& graph,
                          std::vector<Diagnostic>* out) {
   for (const IncludeEdge& e : graph.edges()) {
@@ -269,7 +272,7 @@ void rule_hot_alloc_reach(const Tree& tree, std::vector<Diagnostic>* out) {
   for (std::size_t g = 0; g < tree.fns.size(); ++g) {
     if (depth[g] < 0) continue;
     const FunctionDef& fn = *tree.fns[g];
-    if (fn.in_hotpath_file) continue;  // direct sites are hicc_lint's job
+    if (fn.in_hotpath_file) continue;  // direct sites are the hot-* rules' job
     for (const SinkSite& s : fn.sinks) {
       if (!sink_in(s, kHotSinks, std::size(kHotSinks))) continue;
       int root = chain_root(parent, static_cast<int>(g));
@@ -297,7 +300,7 @@ void rule_det_reach(const Tree& tree, std::vector<Diagnostic>* out) {
   std::vector<int> parent;
   reach(tree, roots, &depth, &parent);
   for (std::size_t g = 0; g < tree.fns.size(); ++g) {
-    if (depth[g] < 1) continue;  // direct sites are hicc_lint's job
+    if (depth[g] < 1) continue;  // direct sites are the det-* rules' job
     const FunctionDef& fn = *tree.fns[g];
     for (const SinkSite& s : fn.sinks) {
       if (!sink_in(s, kDetSinks, std::size(kDetSinks))) continue;
@@ -317,7 +320,7 @@ void rule_det_reach(const Tree& tree, std::vector<Diagnostic>* out) {
   }
 }
 
-void rule_par_global_reach(const Tree& tree, std::vector<Diagnostic>* out) {
+void rule_par_global_reach(const Tree& tree, const LayerDag& dag, std::vector<Diagnostic>* out) {
   // Program-wide mutable-global registry, deduplicated by name (first
   // declaration in path order wins for the message).
   std::map<std::string, const GlobalVar*> globals;
@@ -327,7 +330,6 @@ void rule_par_global_reach(const Tree& tree, std::vector<Diagnostic>* out) {
     }
   }
   if (globals.empty()) return;
-  const auto& closure = layer_dag_closure();
   std::vector<int> roots;
   for (std::size_t i = 0; i < tree.fns.size(); ++i) {
     if (partition_modules().count(tree.fns[i]->module)) roots.push_back(static_cast<int>(i));
@@ -338,9 +340,8 @@ void rule_par_global_reach(const Tree& tree, std::vector<Diagnostic>* out) {
   for (std::size_t g = 0; g < tree.fns.size(); ++g) {
     if (depth[g] < 0) continue;
     const FunctionDef& fn = *tree.fns[g];
-    std::set<std::string> visible = {fn.module, "common", ""};
-    auto cit = closure.find(fn.module);
-    if (cit != closure.end()) visible.insert(cit->second.begin(), cit->second.end());
+    std::set<std::string> visible = dag.allowed(fn.module, /*transitive=*/true);
+    visible.insert("");
     for (const auto& [name, pos] : fn.body_idents) {
       auto git = globals.find(name);
       if (git == globals.end()) continue;
@@ -374,13 +375,21 @@ Result run(const Options& opts) {
   fs::path root = fs::absolute(opts.root.empty() ? "." : opts.root).lexically_normal();
 
   std::set<std::string> rel_paths;
-  std::string err;
-  if (!collect_files(opts, root, &rel_paths, &err)) {
-    res.io_error = true;
-    res.io_message = err;
+  LayerDag dag;
+  if (collect_files(opts, root, &rel_paths, &res.error)) {
+    const std::string problem = parse_layer_dag(read_text(root / "DESIGN.md"), &dag);
+    if (!problem.empty()) {
+      res.error = "hicc_analyze: " + (root / "DESIGN.md").generic_string() + ": " + problem;
+    }
+  }
+  if (!res.error.empty()) {
     res.failed = true;
     return res;
   }
+  const fs::path docs = root / "docs";
+  const ProjectDocs project_docs{
+      read_text(docs / "OBSERVABILITY.md") + read_text(docs / "FAULTS.md"),
+      read_text(docs / "PARALLELISM.md"), read_text(docs / "ROBUSTNESS.md")};
 
   Tree tree;
   for (const std::string& rel : rel_paths) {
@@ -394,65 +403,43 @@ Result run(const Options& opts) {
 
   IncludeGraph graph;
   graph.build(tree.files);
-  build_call_graph(&tree);
+  build_call_graph(&tree, dag);
 
   std::vector<Diagnostic> raw;
+  for (const auto& [rel, sf] : tree.files) {
+    const SourceFile* sibling = nullptr;
+    if (rel.size() > 4 && rel.compare(rel.size() - 4, 4, ".cpp") == 0) {
+      auto it = tree.files.find(rel.substr(0, rel.size() - 4) + ".h");
+      if (it != tree.files.end()) sibling = &it->second;
+    }
+    check_file(sf, sibling, dag, project_docs, &raw);
+  }
   rule_include_cycle(graph, &raw);
-  rule_layer_transitive(graph, &raw);
   rule_include_unused(tree, graph, &raw);
   rule_hot_alloc_reach(tree, &raw);
   rule_det_reach(tree, &raw);
-  rule_par_global_reach(tree, &raw);
+  rule_par_global_reach(tree, dag, &raw);
 
-  // Suppressions (shared hicc-lint grammar), then baseline for errors.
+  // An allow is the only escape hatch, and one that suppresses nothing
+  // is a finding of its own.
   int suppressions_used = 0;
-  std::vector<Diagnostic> kept;
   for (Diagnostic& d : raw) {
     auto fit = tree.files.find(d.file);
-    if (fit != tree.files.end()) {
-      if (fit->second.allowed(d.line, d.rule)) {
-        ++suppressions_used;
-        continue;
-      }
-      d.norm = fit->second.norm(d.line);
-    }
-    kept.push_back(std::move(d));
-  }
-
-  std::vector<std::string> baseline =
-      load_baseline(opts.baseline_path.empty()
-                        ? (root / "scripts" / "hicc_analyze_baseline.txt").string()
-                        : opts.baseline_path);
-  std::set<std::string> baseline_set(baseline.begin(), baseline.end());
-  std::set<std::string> used_baseline;
-  for (Diagnostic& d : kept) {
-    if (d.warning) {
-      res.warnings.push_back(std::move(d));
+    if (fit != tree.files.end() && fit->second.allowed(d.line, d.rule)) {
+      ++suppressions_used;
       continue;
     }
-    res.all_error_keys.push_back(d.baseline_key());
-    if (baseline_set.count(d.baseline_key())) {
-      used_baseline.insert(d.baseline_key());
-      continue;
-    }
-    res.findings.push_back(std::move(d));
+    (d.warning ? res.warnings : res.findings).push_back(std::move(d));
   }
-  for (const std::string& key : baseline) {
-    if (!used_baseline.count(key)) res.stale_baseline.push_back(key);
-  }
-
-  // Strict: unused ana-* suppressions become findings of their own.
-  if (opts.strict) {
-    for (const auto& [rel, sf] : tree.files) {
-      for (const auto& [line, rule] : sf.unused_allows()) {
-        Diagnostic d;
-        d.file = rel;
-        d.line = line;
-        d.col = 1;
-        d.rule = "ana-unused-suppression";
-        d.message = "allow(" + rule + ") no longer matches a finding; remove it";
-        res.findings.push_back(std::move(d));
-      }
+  for (const auto& [rel, sf] : tree.files) {
+    for (const auto& [line, rule] : sf.unused_allows()) {
+      Diagnostic d;
+      d.file = rel;
+      d.line = line;
+      d.col = 1;
+      d.rule = "ana-unused-suppression";
+      d.message = "allow(" + rule + ") no longer matches a finding; remove it";
+      res.findings.push_back(std::move(d));
     }
   }
 
@@ -466,56 +453,27 @@ Result run(const Options& opts) {
   res.stats.include_edges = static_cast<int>(graph.edges().size());
   res.stats.call_edges = tree.call_edges;
   res.stats.suppressions_used = suppressions_used;
-  res.stats.baselined = static_cast<int>(used_baseline.size());
-  res.stats.stale_baseline = res.stale_baseline;
   res.stats.scanned_paths = opts.paths;
 
-  res.failed = !res.findings.empty() || (opts.strict && !res.stale_baseline.empty());
+  res.failed = !res.findings.empty();
   return res;
 }
 
-std::string format_text(const Result& r, bool strict) {
-  std::ostringstream out;
-  if (r.io_error) {
-    out << r.io_message << "\n";
-    return out.str();
-  }
-  std::vector<Diagnostic> merged;
-  merged.insert(merged.end(), r.warnings.begin(), r.warnings.end());
+std::string format_text(const Result& r) {
+  if (!r.error.empty()) return r.error + "\n";
+  std::vector<Diagnostic> merged = r.warnings;
   merged.insert(merged.end(), r.findings.begin(), r.findings.end());
   sort_diagnostics(&merged);
-  for (const Diagnostic& d : merged) out << d.text() << "\n";
-  if (!r.findings.empty()) {
-    out << "hicc_analyze: " << r.findings.size() << " finding(s)";
-    if (r.stats.baselined > 0) out << " (" << r.stats.baselined << " baselined)";
-    out << "\n";
-  }
-  if (strict) {
-    for (const std::string& key : r.stale_baseline) {
-      out << "hicc_analyze: stale baseline entry (fixed? delete it): " << key << "\n";
-    }
-  }
-  if (!r.failed && r.findings.empty()) {
-    out << "hicc_analyze: OK (" << r.stats.files << " files, " << r.stats.baselined
-        << " baselined finding(s))\n";
-  }
-  return out.str();
-}
-
-std::string dump_dag() {
   std::ostringstream out;
-  for (const auto& [mod, deps] : layer_dag()) {
-    out << mod << ":";
-    for (const std::string& d : deps) out << " " << d;
-    out << "\n";
+  for (const Diagnostic& d : merged) out << d.text() << "\n";
+  if (r.findings.empty()) {
+    out << "hicc_analyze: OK (" << r.stats.files << " files)\n";
+  } else {
+    out << "hicc_analyze: " << r.findings.size() << " finding(s)\n";
   }
   return out.str();
 }
 
-std::vector<std::string> rule_ids() {
-  return {"ana-det-reach",       "ana-hot-alloc-reach", "ana-include-cycle",
-          "ana-include-unused",  "ana-layer-transitive", "ana-par-global-reach",
-          "ana-unused-suppression"};
-}
+std::vector<std::string> rule_ids() { return {std::begin(kRuleIds), std::end(kRuleIds)}; }
 
 }  // namespace hicc::analyze

@@ -1,18 +1,16 @@
-// Whole-program semantic analyzer, layer 5: the analysis driver.
+// Whole-program semantic analyzer, layer 6: the analysis driver.
 //
 // run() loads and lexes every C++ file under the requested paths,
-// builds the include graph and the approximate call graph, and applies
-// the rule set:
+// reads the layering DAG from <root>/DESIGN.md, builds the include
+// graph and the approximate call graph, and applies every rule: the
+// per-file ones (file_rules.h) and the whole-program ones:
 //
 //   ana-include-cycle      include cycles
-//   ana-layer-transitive   include edges outside the layering DAG's
-//                          transitive closure
 //   ana-include-unused     direct includes providing nothing the
 //                          includer mentions (warning-level advisory)
 //   ana-hot-alloc-reach    allocation sites reachable from functions
 //                          in hotpath-marked files, where the sink
-//                          lives in a file the per-line linter's hot
-//                          rules do not cover
+//                          lives in a file the hot-* rules do not cover
 //   ana-det-reach          wall-clock / global-RNG / unordered-
 //                          iteration / pointer-keyed-ordering sites
 //                          reachable (>= 1 call hop) from functions
@@ -21,6 +19,8 @@
 //   ana-par-global-reach   references to namespace-scope mutable
 //                          variables from functions reachable from
 //                          partition-module seams
+//   ana-unused-suppression an inline allow, of any rule, that
+//                          suppresses nothing
 //
 // Call edges are layering-aware: a call in module M only resolves to
 // definitions in M, common, or M's transitive DAG closure, which is
@@ -36,34 +36,23 @@
 namespace hicc::analyze {
 
 struct Options {
-  std::string root;                // directory containing src/ (default ".")
-  std::vector<std::string> paths;  // files/dirs to scan, relative to cwd
-  std::string baseline_path;       // "" -> <root>/scripts/hicc_analyze_baseline.txt
-  bool strict = false;             // fail on stale baseline/suppressions
+  std::string root;                // holds src/, docs/ and DESIGN.md (default ".")
+  std::vector<std::string> paths;  // files/dirs to scan, relative to root
 };
 
 struct Result {
-  std::vector<Diagnostic> findings;  // fresh errors (and, under --strict,
-                                     // ana-unused-suppression), sorted
+  std::vector<Diagnostic> findings;  // errors, unused allows included, sorted
   std::vector<Diagnostic> warnings;  // advisory diagnostics, sorted
-  std::vector<std::string> stale_baseline;  // unmatched baseline keys
-  std::vector<std::string> all_error_keys;  // pre-baseline keys (--write-baseline)
   ReportStats stats;
-  bool failed = false;       // exit-1 condition (strict folds in staleness)
-  bool io_error = false;     // a path argument did not exist
-  std::string io_message;
+  bool failed = false;  // any finding, or `error`
+  std::string error;    // a missing path or a bad layer-dag block (exit 2)
 };
 
 /// Runs the full analysis. Deterministic: same tree, same output.
 Result run(const Options& opts);
 
-/// Renders the human-readable output exactly the way hicc_lint does:
-/// sorted diagnostics, then the summary / staleness / OK lines.
-std::string format_text(const Result& r, bool strict);
-
-/// The analyzer's copy of the layering DAG as "module: dep dep ..."
-/// lines (sorted), for the DAG lockstep test.
-std::string dump_dag();
+/// The human-readable output: sorted diagnostics, then a summary line.
+std::string format_text(const Result& r);
 
 /// Sorted rule ids (--list-rules).
 std::vector<std::string> rule_ids();

@@ -1,6 +1,8 @@
 #include "analyze/graph.h"
 
 #include <algorithm>
+#include <iterator>
+#include <sstream>
 
 namespace hicc::analyze {
 namespace {
@@ -126,58 +128,62 @@ std::vector<IncludeCycle> IncludeGraph::find_cycles() const {
   return cycles;
 }
 
-const std::map<std::string, std::set<std::string>>& layer_dag() {
-  // Lockstep contract: identical to scripts/hicc_lint.py LAYER_DAG and
-  // the DESIGN.md §9 table (tests/dag_lockstep_test.py enforces it).
-  static const std::map<std::string, std::set<std::string>> kDag = {
-      {"common", {}},
-      {"sim", {}},
-      {"trace", {"sim"}},
-      {"net", {"sim"}},
-      {"mem", {"sim", "trace"}},
-      {"iommu", {"sim", "trace", "mem"}},
-      {"pcie", {"sim", "trace", "mem", "iommu"}},
-      {"nic", {"sim", "trace", "net", "iommu", "pcie"}},
-      {"transport", {"sim", "trace", "net"}},
-      {"host", {"sim", "trace", "net", "nic", "pcie", "iommu", "mem"}},
-      {"workload", {"sim", "trace", "net", "transport", "host"}},
-      {"core",
-       {"sim", "trace", "net", "nic", "pcie", "iommu", "mem", "host", "transport", "fault",
-        "workload"}},
-      {"fault", {"sim", "trace", "net", "nic", "pcie", "iommu", "mem", "host", "transport"}},
-      {"sweep", {"sim", "trace", "core", "fault"}},
-      {"analyze", {}},
-  };
-  return kDag;
+std::set<std::string> LayerDag::allowed(const std::string& mod, bool transitive) const {
+  std::set<std::string> out = {mod, "common"};
+  const auto& table = transitive ? closure : direct;
+  auto it = table.find(mod);
+  if (it != table.end()) out.insert(it->second.begin(), it->second.end());
+  return out;
 }
 
-const std::map<std::string, std::set<std::string>>& layer_dag_closure() {
-  static const std::map<std::string, std::set<std::string>> kClosure = [] {
-    const auto& dag = layer_dag();
-    std::map<std::string, std::set<std::string>> closure;
-    for (const auto& [mod, deps] : dag) {
-      // BFS over allowed-dependency edges.
-      std::set<std::string>& out = closure[mod];
-      std::vector<std::string> queue(deps.begin(), deps.end());
-      while (!queue.empty()) {
-        std::string next = queue.back();
-        queue.pop_back();
-        if (!out.insert(next).second) continue;
-        auto it = dag.find(next);
-        if (it == dag.end()) continue;
-        for (const std::string& d : it->second) queue.push_back(d);
-      }
+std::string parse_layer_dag(const std::string& design_md, LayerDag* out) {
+  const std::string open = "```layer-dag\n";
+  const std::size_t begin = design_md.find(open);
+  if (begin == std::string::npos) return "no ```layer-dag block";
+  const std::size_t end = design_md.find("```", begin + open.size());
+  if (end == std::string::npos) return "the ```layer-dag block is not closed";
+  *out = LayerDag{};
+  std::istringstream block(design_md.substr(begin + open.size(), end - begin - open.size()));
+  std::string line;
+  std::string prev;
+  while (std::getline(block, line)) {
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    const std::size_t colon = line.find(':');
+    const std::string mod = line.substr(0, colon);
+    if (colon == std::string::npos || mod.empty() ||
+        mod.find_first_of(" \t") != std::string::npos) {
+      return "line '" + line + "' is not 'module: dep dep ...'";
     }
-    return closure;
-  }();
-  return kClosure;
-}
-
-std::string path_module(const std::string& rel_path) {
-  if (rel_path.compare(0, 4, "src/") != 0) return "";
-  std::size_t slash = rel_path.find('/', 4);
-  if (slash == std::string::npos) return "";
-  return rel_path.substr(4, slash - 4);
+    std::istringstream words(line.substr(colon + 1));
+    std::vector<std::string> deps(std::istream_iterator<std::string>(words), {});
+    if (!prev.empty() && mod <= prev) {
+      return "module '" + mod + "' is out of order (modules must be sorted and unique)";
+    }
+    if (!std::is_sorted(deps.begin(), deps.end()) ||
+        std::adjacent_find(deps.begin(), deps.end()) != deps.end()) {
+      return "the deps of '" + mod + "' are not sorted";
+    }
+    out->direct[mod].insert(deps.begin(), deps.end());
+    prev = mod;
+  }
+  for (const auto& [mod, deps] : out->direct) {
+    for (const std::string& d : deps) {
+      if (!out->has(d)) return "'" + mod + "' depends on unknown module '" + d + "'";
+    }
+  }
+  for (const auto& [mod, deps] : out->direct) {
+    // DFS over allowed-dependency edges.
+    std::set<std::string>& reach = out->closure[mod];
+    std::vector<std::string> stack(deps.begin(), deps.end());
+    while (!stack.empty()) {
+      std::string next = stack.back();
+      stack.pop_back();
+      if (!reach.insert(next).second) continue;
+      const std::set<std::string>& more = out->direct.at(next);
+      stack.insert(stack.end(), more.begin(), more.end());
+    }
+  }
+  return "";
 }
 
 }  // namespace hicc::analyze

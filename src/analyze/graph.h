@@ -1,19 +1,19 @@
-// Whole-program semantic analyzer, layer 3: the include graph.
+// Whole-program semantic analyzer, layer 3: the include graph and the
+// layering DAG.
 //
 // Nodes are root-relative file paths; edges are quoted #include
 // directives, resolved first against the src/-rooted include path the
 // build uses (target_include_directories(... src)), then relative to
-// the including file. The graph backs three rules:
+// the including file. The graph backs two rules:
 //
 //   ana-include-cycle      include cycles (DFS back edges)
-//   ana-layer-transitive   an edge whose target module is outside the
-//                          including module's transitive DAG closure
 //   ana-include-unused     a direct include none of whose provided
 //                          names the includer mentions (advisory)
 //
-// The module layering DAG lives here too. It must stay identical to
-// scripts/hicc_lint.py's LAYER_DAG and to the DESIGN.md §9 table;
-// tests/dag_lockstep_test.py pins all three together.
+// The module layering DAG has one copy: the ```layer-dag block of
+// <root>/DESIGN.md, parsed here. The layer-dag rule checks direct
+// includes against it; the call graph and the partition-global rule
+// use its transitive closure.
 #pragma once
 
 #include <map>
@@ -58,14 +58,22 @@ class IncludeGraph {
 };
 
 /// The module layering DAG: module -> modules it may include directly
-/// (besides itself and common). Kept in lockstep with hicc_lint.py.
-const std::map<std::string, std::set<std::string>>& layer_dag();
+/// (besides itself and common), and the transitive closure of that.
+struct LayerDag {
+  std::map<std::string, std::set<std::string>> direct;
+  std::map<std::string, std::set<std::string>> closure;
 
-/// Transitive closure of layer_dag(): module -> every module it may
-/// depend on through any chain of allowed direct includes.
-const std::map<std::string, std::set<std::string>>& layer_dag_closure();
+  [[nodiscard]] bool has(const std::string& mod) const { return direct.count(mod) > 0; }
 
-/// "sim" for src/sim/..., "" otherwise.
-std::string path_module(const std::string& rel_path);
+  /// `mod`, common, and the modules `mod` may depend on: its direct
+  /// list, or with `transitive` its closure. {mod, common} for a module
+  /// the DAG does not name.
+  [[nodiscard]] std::set<std::string> allowed(const std::string& mod, bool transitive) const;
+};
+
+/// Reads the ```layer-dag block out of DESIGN.md's text: one
+/// `module: dep dep ...` line per module, modules and deps sorted, every
+/// dep itself a module. Returns "" on success, else what is wrong.
+std::string parse_layer_dag(const std::string& design_md, LayerDag* out);
 
 }  // namespace hicc::analyze

@@ -28,49 +28,16 @@ const std::set<std::string>& keyword_set() {
   return kKeywords;
 }
 
-bool is_one_of(const std::string& s, std::initializer_list<const char*> opts) {
-  for (const char* o : opts) {
-    if (s == o) return true;
-  }
-  return false;
-}
-
-// Walks the whole token stream once collecting variable names declared
-// as unordered_{map,set} (mirrors hicc_lint's UNORDERED_DECL_RE +
-// DECL_NAME_RE pass; class members included, as with decl_code there).
-std::set<std::string> collect_unordered_vars(const std::vector<Token>& t) {
-  std::set<std::string> names;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != Token::Kind::kIdent) continue;
-    if (t[i].text != "unordered_map" && t[i].text != "unordered_set") continue;
-    if (t[i + 1].text != "<") continue;
-    int depth = 0;
-    std::size_t j = i + 1;
-    for (; j < t.size() && j < i + 120; ++j) {
-      if (t[j].text == "<") ++depth;
-      if (t[j].text == ">") --depth;
-      if (t[j].text == ">>") depth -= 2;
-      if (depth <= 0) break;
-      if (t[j].text == ";" || t[j].text == "{") break;
-    }
-    if (j >= t.size() || depth > 0) continue;
-    ++j;  // past the closing >
-    while (j < t.size() && (t[j].text == "&" || t[j].text == "*" || t[j].text == "const")) ++j;
-    if (j + 1 < t.size() && t[j].kind == Token::Kind::kIdent && !is_cxx_keyword(t[j].text) &&
-        is_one_of(t[j + 1].text, {";", "=", "{", "("})) {
-      names.insert(t[j].text);
-    }
-  }
-  return names;
-}
-
 // The structural scanner. One instance per file; `scan()` drives a
 // statement-head state machine at namespace/class scope and hands
 // function bodies to `scan_body`.
 class Scanner {
  public:
   Scanner(const SourceFile& sf, FileIndex& out)
-      : sf_(sf), out_(out), t_(sf.tokens), unordered_vars_(collect_unordered_vars(sf.tokens)) {}
+      : sf_(sf),
+        out_(out),
+        t_(sf.tokens),
+        unordered_vars_(declared_vars(sf.tokens, {"unordered_map", "unordered_set"})) {}
 
   void scan() {
     for (const Token& tok : t_) {
@@ -619,6 +586,39 @@ class Scanner {
 }  // namespace
 
 bool is_cxx_keyword(const std::string& word) { return keyword_set().count(word) > 0; }
+
+bool is_one_of(const std::string& s, std::initializer_list<const char*> opts) {
+  for (const char* o : opts) {
+    if (s == o) return true;
+  }
+  return false;
+}
+
+std::set<std::string> declared_vars(const std::vector<Token>& t,
+                                    std::initializer_list<const char*> templates) {
+  std::set<std::string> names;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].kind != Token::Kind::kIdent || !is_one_of(t[i].text, templates)) continue;
+    if (t[i + 1].text != "<") continue;
+    int depth = 0;
+    std::size_t j = i + 1;
+    for (; j < t.size() && j < i + 120; ++j) {
+      if (t[j].text == "<") ++depth;
+      if (t[j].text == ">") --depth;
+      if (t[j].text == ">>") depth -= 2;
+      if (depth <= 0) break;
+      if (t[j].text == ";" || t[j].text == "{") break;
+    }
+    if (j >= t.size() || depth > 0) continue;
+    ++j;  // past the closing >
+    while (j < t.size() && (t[j].text == "&" || t[j].text == "*" || t[j].text == "const")) ++j;
+    if (j + 1 < t.size() && t[j].kind == Token::Kind::kIdent && !is_cxx_keyword(t[j].text) &&
+        is_one_of(t[j + 1].text, {";", "=", "{", "("})) {
+      names.insert(t[j].text);
+    }
+  }
+  return names;
+}
 
 FileIndex index_file(const SourceFile& sf) {
   FileIndex out;

@@ -7,9 +7,10 @@
 //     qualified names like Engine::run) with their body token ranges;
 //   * call sites inside each body (`name(...)`, `obj.name(...)`);
 //   * sink sites inside each body -- the allocation / nondeterminism
-//     patterns the reachability rules propagate (mirrors the sink
-//     regexes in scripts/hicc_lint.py so the two tools agree on what
-//     counts as an allocation or a wall clock);
+//     patterns the reachability rules propagate (the same patterns the
+//     per-file det-* and hot-* rules flag where they occur, so direct
+//     and reachable findings agree on what counts as an allocation or
+//     a wall clock);
 //   * namespace-scope mutable variables (the state the partition
 //     single-writer rule tracks references to);
 //   * every name the file provides to includers (classes, enums and
@@ -22,9 +23,10 @@
 // branches, treats lambdas as part of the enclosing function, and does
 // not instantiate templates). Rules built on it are tuned so that
 // approximation errs toward silence, and every diagnostic can be
-// suppressed with the shared `hicc-lint: allow(...)` grammar.
+// suppressed with an inline allow.
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
@@ -88,5 +90,14 @@ FileIndex index_file(const SourceFile& sf);
 
 /// True for C++ keywords and analyzer-ignored builtins (never callees).
 bool is_cxx_keyword(const std::string& word);
+
+/// True when `s` equals one of `opts`.
+bool is_one_of(const std::string& s, std::initializer_list<const char*> opts);
+
+/// Names of the variables (members included) declared anywhere in `t`
+/// with one of `templates` as their type, `tmpl<...> [&*const] name`
+/// followed by ; = { or (.
+std::set<std::string> declared_vars(const std::vector<Token>& t,
+                                    std::initializer_list<const char*> templates);
 
 }  // namespace hicc::analyze

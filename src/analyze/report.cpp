@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -58,44 +56,15 @@ std::string Diagnostic::text() const {
 }
 
 void sort_diagnostics(std::vector<Diagnostic>* diags) {
-  std::sort(diags->begin(), diags->end(), [](const Diagnostic& a, const Diagnostic& b) {
-    return std::tie(a.file, a.line, a.col, a.rule, a.message) <
-           std::tie(b.file, b.line, b.col, b.rule, b.message);
+  std::stable_sort(diags->begin(), diags->end(), [](const Diagnostic& a, const Diagnostic& b) {
+    return std::tie(a.file, a.line, a.col, a.rule) < std::tie(b.file, b.line, b.col, b.rule);
   });
-}
-
-std::vector<std::string> load_baseline(const std::string& path) {
-  std::vector<std::string> entries;
-  std::ifstream in(path);
-  if (!in) return entries;
-  std::string line;
-  while (std::getline(in, line)) {
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) line.pop_back();
-    std::size_t first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
-    entries.push_back(line.substr(first));
-  }
-  std::sort(entries.begin(), entries.end());
-  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-  return entries;
-}
-
-bool write_baseline(const std::string& path, const std::vector<std::string>& keys) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "# hicc_analyze grandfathered findings -- one per line:\n"
-         "#   file|rule|normalized source text\n"
-         "# Entries forgive matching findings; --strict fails on\n"
-         "# stale entries. Shrink this file, never grow it.\n";
-  std::set<std::string> sorted(keys.begin(), keys.end());
-  for (const std::string& k : sorted) out << k << "\n";
-  return static_cast<bool>(out);
 }
 
 std::string to_json(const std::vector<Diagnostic>& findings, const ReportStats& stats) {
   std::ostringstream out;
   out << "{\n";
-  out << "  \"schema\": \"hicc.analysis.v1\",\n";
+  out << "  \"schema\": \"hicc.analysis.v2\",\n";
   out << "  \"paths\": ";
   append_string_array(&out, stats.scanned_paths);
   out << ",\n";
@@ -104,10 +73,6 @@ std::string to_json(const std::vector<Diagnostic>& findings, const ReportStats& 
   out << "  \"include_edges\": " << stats.include_edges << ",\n";
   out << "  \"call_edges\": " << stats.call_edges << ",\n";
   out << "  \"suppressions_used\": " << stats.suppressions_used << ",\n";
-  out << "  \"baselined\": " << stats.baselined << ",\n";
-  out << "  \"stale_baseline\": ";
-  append_string_array(&out, stats.stale_baseline);
-  out << ",\n";
   out << "  \"findings\": [";
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const Diagnostic& d = findings[i];

@@ -1,5 +1,6 @@
 #include "analyze/source.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
@@ -9,9 +10,6 @@ namespace {
 
 bool ident_start(char c) { return std::isalpha(static_cast<unsigned char>(c)) || c == '_'; }
 bool ident_char(char c) { return std::isalnum(static_cast<unsigned char>(c)) || c == '_'; }
-
-// Comment bodies that drive the shared suppression grammar.
-constexpr const char* kAllowTag = "hicc-lint:";
 
 // Multi-character punctuators worth keeping whole; everything else is
 // emitted one character at a time. Order matters (longest first).
@@ -273,37 +271,55 @@ std::set<std::string> split_rules(const std::string& s) {
   return rules;
 }
 
+std::size_t skip_space(const std::string& s, std::size_t i) {
+  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+  return i;
+}
+
+// Finds the first "//" on `line` followed, whitespace allowed, by the
+// marker tag and `form`: "hotpath" as a whole word, or "allow(" /
+// "allow-file(" closed by a ")" later on the line, whose contents go to
+// *args. Returns the index of that "//", or npos.
+std::size_t find_marker(const std::string& line, const std::string& form, std::string* args) {
+  const std::string tag = kMarkerTag;
+  for (std::size_t c = line.find("//"); c != std::string::npos; c = line.find("//", c + 1)) {
+    std::size_t k = skip_space(line, c + 2);
+    if (line.compare(k, tag.size(), tag) != 0) continue;
+    k = skip_space(line, k + tag.size());
+    if (line.compare(k, form.size(), form) != 0) continue;
+    const std::size_t end = k + form.size();
+    if (form.back() != '(') {
+      if (end < line.size() && ident_char(line[end])) continue;
+      return c;
+    }
+    const std::size_t close = line.find(')', end);
+    if (close == std::string::npos) continue;
+    *args = line.substr(end, close - end);
+    return c;
+  }
+  return std::string::npos;
+}
+
 void scan_suppressions(SourceFile& sf) {
+  std::string args;
   for (std::size_t idx = 0; idx < sf.raw.size(); ++idx) {
     const std::string& line = sf.raw[idx];
-    std::size_t c = line.find("//");
+    if (line.find(kMarkerTag) == std::string::npos) continue;
+    if (find_marker(line, "hotpath", &args) != std::string::npos) sf.hotpath = true;
+    if (find_marker(line, "allow-file(", &args) != std::string::npos) {
+      for (const std::string& rule : split_rules(args)) {
+        sf.file_allows.emplace(rule, static_cast<int>(idx + 1));
+      }
+    }
+    const std::size_t c = find_marker(line, "allow(", &args);
     if (c == std::string::npos) continue;
-    std::size_t tag = line.find(kAllowTag, c);
-    if (tag == std::string::npos) continue;
-    std::size_t body = tag + std::string(kAllowTag).size();
-    while (body < line.size() && line[body] == ' ') ++body;
-    if (line.compare(body, 7, "hotpath") == 0) {
-      sf.hotpath = true;
-      continue;
-    }
-    const bool file_scope = line.compare(body, 11, "allow-file(") == 0;
-    const bool line_scope = !file_scope && line.compare(body, 6, "allow(") == 0;
-    if (!file_scope && !line_scope) continue;
-    std::size_t open = line.find('(', body);
-    std::size_t close = line.find(')', open);
-    if (open == std::string::npos || close == std::string::npos) continue;
-    std::set<std::string> rules = split_rules(line.substr(open + 1, close - open - 1));
-    if (file_scope) {
-      sf.file_allows.insert(rules.begin(), rules.end());
-      continue;
-    }
+    std::set<std::string> rules = split_rules(args);
     std::size_t target = idx + 1;  // 1-based line of the comment itself
     std::string before = line.substr(0, c);
     const bool trailing = before.find_first_not_of(" \t") != std::string::npos;
     if (!trailing) {
       // A bare comment covers the next code line; the justification may
-      // continue over further comment-only or blank lines (same skip
-      // rule as hicc_lint.py's FileContext).
+      // continue over further comment-only or blank lines.
       ++target;
       while (target <= sf.raw.size()) {
         const std::string& t = sf.raw[target - 1];
@@ -326,7 +342,11 @@ std::string SourceFile::module_name() const {
 }
 
 bool SourceFile::allowed(int line, const std::string& rule) const {
-  if (file_allows.count(rule)) return true;
+  auto fit = file_allows.find(rule);
+  if (fit != file_allows.end()) {
+    used_allows.insert({fit->second, rule});
+    return true;
+  }
   auto it = line_allows.find(line);
   if (it != line_allows.end() && it->second.count(rule)) {
     used_allows.insert({line, rule});
@@ -335,26 +355,17 @@ bool SourceFile::allowed(int line, const std::string& rule) const {
   return false;
 }
 
-std::string SourceFile::norm(int line) const {
-  if (line < 1 || line > static_cast<int>(raw.size())) return "";
-  std::istringstream in(raw[line - 1]);
-  std::string word;
-  std::string out;
-  while (in >> word) {
-    if (!out.empty()) out.push_back(' ');
-    out += word;
-  }
-  return out;
-}
-
 std::vector<std::pair<int, std::string>> SourceFile::unused_allows() const {
   std::vector<std::pair<int, std::string>> out;
   for (const auto& [line, rules] : line_allows) {
     for (const std::string& rule : rules) {
-      if (rule.compare(0, 4, "ana-") != 0) continue;  // hicc_lint's rules
       if (!used_allows.count({line, rule})) out.emplace_back(line, rule);
     }
   }
+  for (const auto& [rule, line] : file_allows) {
+    if (!used_allows.count({line, rule})) out.emplace_back(line, rule);
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -1,18 +1,17 @@
 // Whole-program semantic analyzer, layer 1: source loading and lexing.
 //
-// hicc_analyze (docs/STATIC_ANALYSIS.md, layer 2 of the gate) is a
-// zero-dependency analyzer: no libclang, no compile step. Each file is
-// loaded once into a SourceFile -- raw lines, a comment/string-stripped
-// "code view" with columns preserved (the same view scripts/hicc_lint.py
-// scans), a token stream with line/col positions, the `#include` and
-// `#define` directives, and the hicc-lint suppression state. The
-// suppression grammar is shared with the line linter by design: a
-// trailing "hicc-lint:" comment carrying allow(rule) -- justification
-// suppresses on that line; on a line of its own it binds to the next
-// code line; allow-file(rule) covers the whole file; and a bare
-// "hotpath" marker opts the file into hot-path rules. Analyzer rules
-// all carry the `ana-` prefix; each tool ignores the other's rule ids
-// when checking for unused suppressions.
+// hicc_analyze (docs/STATIC_ANALYSIS.md) is a zero-dependency
+// analyzer: no libclang, no compile step. Each file is loaded once into
+// a SourceFile -- raw lines, a comment/string-stripped "code view" with
+// columns preserved, a token stream with line/col positions, the
+// `#include` and `#define` directives, and the suppression state.
+//
+// Suppressions are `//` comments tagged kMarkerTag. A trailing
+// `allow(rule-a, rule-b) -- why` after code suppresses those rules on
+// its own line; on a line of its own it binds to the next code line
+// (the reason may continue over further comment lines);
+// `allow-file(rule)` covers the whole file; and `hotpath` opts the file
+// into the hot-path rules.
 #pragma once
 
 #include <map>
@@ -22,6 +21,9 @@
 #include <vector>
 
 namespace hicc::analyze {
+
+/// The tag every suppression and marker comment starts with.
+constexpr const char* kMarkerTag = "hicc-lint:";
 
 struct Token {
   enum class Kind { kIdent, kNumber, kPunct, kString, kChar };
@@ -47,23 +49,21 @@ class SourceFile {
   std::vector<Token> tokens;
   std::vector<IncludeDirective> includes;  // quoted includes only
   std::set<std::string> macro_defines;     // #define NAME
-  bool hotpath = false;                    // carries "// hicc-lint: hotpath"
+  bool hotpath = false;                    // carries the hotpath marker
 
   /// "sim" for src/sim/..., "" for anything not under src/<module>/.
   [[nodiscard]] std::string module_name() const;
 
   /// True (and marks the suppression used) when `rule` is allowed at
-  /// `line` by an inline or file-level hicc-lint allow.
+  /// `line` by an inline or file-level allow.
   bool allowed(int line, const std::string& rule) const;
 
-  /// Whitespace-normalized raw text of `line` (baseline key component).
-  [[nodiscard]] std::string norm(int line) const;
-
-  /// Inline allows that never fired, restricted to `ana-*` rules
-  /// (other prefixes belong to hicc_lint). Sorted (line, rule) pairs.
+  /// Allows, file-level ones included, that never fired, whatever rule
+  /// they name: sorted (line, rule) pairs, where a file-level allow's
+  /// line is that of its comment.
   [[nodiscard]] std::vector<std::pair<int, std::string>> unused_allows() const;
 
-  std::set<std::string> file_allows;
+  std::map<std::string, int> file_allows;            // rule id -> comment line
   std::map<int, std::set<std::string>> line_allows;  // line -> rule ids
   mutable std::set<std::pair<int, std::string>> used_allows;
 };

@@ -75,7 +75,7 @@ class Iommu {
   /// polled from IommuStats / walker state -- the translation hot path
   /// is untouched).
   Iommu(sim::Simulator& sim, mem::MemorySystem& mem, IommuParams params,
-        Rng rng = Rng(0x10771b), trace::Tracer* tracer = nullptr);
+        Rng rng, trace::Tracer* tracer = nullptr);
 
   Iommu(const Iommu&) = delete;
   Iommu& operator=(const Iommu&) = delete;

@@ -49,7 +49,7 @@
 namespace hicc::sim {
 
 /// The engine's public knobs. Documented knob-for-knob in
-/// docs/PARALLELISM.md (scripts/hicc_lint.py `docs-par-knob` keeps the
+/// docs/PARALLELISM.md (hicc_analyze's `docs-par-knob` rule keeps the
 /// two in lockstep).
 struct ParallelParams {
   /// Partition count; each partition is one Simulator. 1 gives the

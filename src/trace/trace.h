@@ -59,8 +59,9 @@ enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 /// Canonical host-indexed probe name: host_probe(3, "cluster.port_drops")
 /// == "host3.cluster.port_drops". Probes registered through this
 /// helper are documented once in docs/OBSERVABILITY.md under the
-/// template form `host<h>.<name>`; scripts/hicc_lint.py recognizes the
-/// idiom and checks the template form instead of the expanded names.
+/// template form `host<h>.<name>`; hicc_analyze's docs-probe rules
+/// recognize the idiom and check the template form instead of the
+/// expanded names.
 [[nodiscard]] std::string host_probe(int host, const std::string& name);
 
 /// Short label for a probe kind ("counter" / "gauge" / "histogram").

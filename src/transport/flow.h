@@ -39,7 +39,7 @@ class SenderFlow {
 
   SenderFlow(sim::Simulator& sim, std::int32_t flow_id, std::int32_t sender_id,
              const net::WireFormat& wire, std::unique_ptr<CongestionControl> cc,
-             SendFn send, Rng rng = Rng(0xf10f));
+             SendFn send, Rng rng);
 
   SenderFlow(const SenderFlow&) = delete;
   SenderFlow& operator=(const SenderFlow&) = delete;

@@ -23,7 +23,7 @@ namespace hicc::transport {
 class SenderHost {
  public:
   SenderHost(sim::Simulator& sim, std::int32_t id, net::WireFormat wire,
-             SenderFlow::SendFn send, Rng rng = Rng(0x5e17d))
+             SenderFlow::SendFn send, Rng rng)
       : sim_(sim), id_(id), wire_(wire), send_(std::move(send)), rng_(rng) {}
 
   [[nodiscard]] std::int32_t id() const { return id_; }

@@ -150,8 +150,9 @@ struct Harness {
   sim::Simulator sim;
   mem::MemorySystem mem{sim, mem::DramParams{}, Rng(1)};
   IommuParams params{};
-  Iommu iommu{sim, mem, params};
-  explicit Harness(IommuParams p = IommuParams{}) : params(p), iommu(sim, mem, p) {}
+  Iommu iommu{sim, mem, params, Rng(0x10771b)};
+  explicit Harness(IommuParams p = IommuParams{})
+      : params(p), iommu(sim, mem, p, Rng(0x10771b)) {}
 };
 
 TEST(Iommu, DisabledTranslatesInstantly) {

@@ -43,7 +43,7 @@ struct Harness {
                    Bytes region = Bytes::mib(12), NicParams np = NicParams{}) {
     iommu::IommuParams ip;
     ip.enabled = iommu_on;
-    iommu.emplace(sim, mem, ip);
+    iommu.emplace(sim, mem, ip, Rng(0x10771b));
     pcie.emplace(sim, mem, *iommu, pcie::PcieParams{});
     nic.emplace(sim, *pcie, *iommu, np, threads, region, page,
                 [threads](std::int32_t flow) { return flow % threads; }, Rng(2));
@@ -202,7 +202,7 @@ TEST(Nic, CreditPoolSmallerThanOnePacketStillDelivers) {
   mem::MemorySystem memsys(sim, mem::DramParams{}, Rng(1));
   iommu::IommuParams ip;
   ip.enabled = true;
-  iommu::Iommu mmu(sim, memsys, ip);
+  iommu::Iommu mmu(sim, memsys, ip, Rng(0x10771b));
   pcie::PcieParams pp;
   pp.credit_bytes = Bytes(2048);  // < 4576B per packet
   pcie::PcieBus bus(sim, memsys, mmu, pp);

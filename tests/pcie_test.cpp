@@ -33,7 +33,7 @@ struct Harness {
   explicit Harness(bool iommu_on = false, int antagonist_cores = 0) {
     iommu::IommuParams ip;
     ip.enabled = iommu_on;
-    iommu.emplace(sim, mem, ip);
+    iommu.emplace(sim, mem, ip, Rng(0x10771b));
     bus.emplace(sim, mem, *iommu, PcieParams{});
     if (antagonist_cores > 0) {
       ant.emplace(mem, mem::AntagonistParams{}, antagonist_cores);
@@ -192,7 +192,7 @@ TEST(PcieBus, DdioHitsSkipMemoryBus) {
   mem::MemorySystem memsys(sim, mem::DramParams{}, Rng(7));
   iommu::IommuParams ip;
   ip.enabled = false;
-  iommu::Iommu mmu(sim, memsys, ip);
+  iommu::Iommu mmu(sim, memsys, ip, Rng(0x10771b));
   mem::DdioModel ddio(mem::DdioParams{}, Rng(9));
   ddio.set_io_working_set(Bytes::mib(1));  // fits the IO ways
   PcieBus bus(sim, memsys, mmu, PcieParams{}, &ddio);
@@ -211,7 +211,7 @@ TEST(PcieBus, DdioLeaksWithLargeWorkingSet) {
   mem::MemorySystem memsys(sim, mem::DramParams{}, Rng(7));
   iommu::IommuParams ip;
   ip.enabled = false;
-  iommu::Iommu mmu(sim, memsys, ip);
+  iommu::Iommu mmu(sim, memsys, ip, Rng(0x10771b));
   mem::DdioModel ddio(mem::DdioParams{}, Rng(9));
   ddio.set_io_working_set(Bytes::mib(144));  // the paper's scale
   PcieBus bus(sim, memsys, mmu, PcieParams{}, &ddio);

@@ -175,7 +175,7 @@ TEST_P(IommuWorkingSet, MissRateMonotoneInWorkingSet) {
   for (const int pages : {32, 96, 160, 320, 640}) {
     sim::Simulator sim;
     mem::MemorySystem mem(sim, mem::DramParams{}, Rng(3));
-    iommu::Iommu mmu(sim, mem, iommu::IommuParams{});
+    iommu::Iommu mmu(sim, mem, iommu::IommuParams{}, Rng(0x10771b));
     const auto psize = iommu::page_bytes(page).count();
     const auto rid = mmu.map_region(Bytes(pages * psize), page);
     const auto& region = mmu.region(rid);

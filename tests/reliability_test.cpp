@@ -94,12 +94,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Reliability, ToleratesAckReordering) {
   sim::Simulator sim;
   std::vector<net::Packet> sent;
-  SenderFlow flow(sim, 0, 0, net::WireFormat{},
-                  std::make_unique<SwiftCc>(sim, SwiftParams{}),
-                  [&](net::Packet p) {
-                    sent.push_back(std::move(p));
-                    return true;
-                  });
+  SenderFlow flow(
+      sim, 0, 0, net::WireFormat{}, std::make_unique<SwiftCc>(sim, SwiftParams{}),
+      [&](net::Packet p) {
+        sent.push_back(std::move(p));
+        return true;
+      },
+      Rng(0xf10f));
   flow.enqueue_packets(8);
   sim.run_until(1_ms);
   // Repeatedly ack whatever was sent, with adjacent pairs swapped
@@ -132,12 +133,13 @@ TEST(Reliability, ToleratesAckReordering) {
 TEST(Reliability, DuplicateAcksAreIdempotent) {
   sim::Simulator sim;
   std::vector<net::Packet> sent;
-  SenderFlow flow(sim, 0, 0, net::WireFormat{},
-                  std::make_unique<SwiftCc>(sim, SwiftParams{}),
-                  [&](net::Packet p) {
-                    sent.push_back(std::move(p));
-                    return true;
-                  });
+  SenderFlow flow(
+      sim, 0, 0, net::WireFormat{}, std::make_unique<SwiftCc>(sim, SwiftParams{}),
+      [&](net::Packet p) {
+        sent.push_back(std::move(p));
+        return true;
+      },
+      Rng(0xf10f));
   flow.enqueue_packets(2);
   sim.run_until(1_ms);
   ASSERT_GE(sent.size(), 1u);

@@ -183,11 +183,13 @@ struct FlowHarness {
     } else {
       cc = std::make_unique<SwiftCc>(sim, SwiftParams{});
     }
-    flow = std::make_unique<SenderFlow>(sim, 0, 0, wire, std::move(cc),
-                                        [this](net::Packet p) {
-                                          sent.push_back(std::move(p));
-                                          return true;
-                                        });
+    flow = std::make_unique<SenderFlow>(
+        sim, 0, 0, wire, std::move(cc),
+        [this](net::Packet p) {
+          sent.push_back(std::move(p));
+          return true;
+        },
+        Rng(0xf10f));
   }
 
   struct FixedCc final : CongestionControl {
@@ -293,10 +295,13 @@ TEST(SenderHost, ReadRequestEnqueuesPackets) {
   sim::Simulator sim;
   net::WireFormat wire;
   std::vector<net::Packet> sent;
-  SenderHost host(sim, 3, wire, [&](net::Packet p) {
-    sent.push_back(std::move(p));
-    return true;
-  });
+  SenderHost host(
+      sim, 3, wire,
+      [&](net::Packet p) {
+        sent.push_back(std::move(p));
+        return true;
+      },
+      Rng(0x5e17d));
   host.add_flow(7, std::make_unique<SwiftCc>(sim, SwiftParams{}));
 
   net::Packet req;
@@ -313,7 +318,7 @@ TEST(SenderHost, ReadRequestEnqueuesPackets) {
 TEST(SenderHost, IgnoresUnknownFlow) {
   sim::Simulator sim;
   net::WireFormat wire;
-  SenderHost host(sim, 0, wire, [](net::Packet) { return true; });
+  SenderHost host(sim, 0, wire, [](net::Packet) { return true; }, Rng(0x5e17d));
   net::Packet req;
   req.kind = net::PacketKind::kReadRequest;
   req.flow = 99;

@@ -1,18 +1,15 @@
-// hicc_analyze -- whole-program semantic analysis gate (layer 2 of the
+// hicc_analyze -- the project's static analyzer (layer 1 of the
 // static-analysis stack, docs/STATIC_ANALYSIS.md).
 //
 //   hicc_analyze [options] PATH...
 //
-//   --root=DIR        repo root containing src/ (default: cwd)
-//   --strict          also fail on stale baseline/suppressions (CI mode)
-//   --baseline=FILE   override scripts/hicc_analyze_baseline.txt
-//   --write-baseline  grandfather current findings and exit
-//   --json=FILE       write the hicc.analysis.v1 report
+//   --root=DIR        repo root holding src/, docs/ and DESIGN.md (default: cwd)
+//   --json=FILE       write the hicc.analysis.v2 report
 //   --list-rules      print rule ids and exit
-//   --dump-dag        print the layering DAG (module: dep dep ...)
 //
-// Exit codes mirror scripts/hicc_lint.py: 0 clean, 1 findings (or
-// stale baseline/suppressions under --strict), 2 usage error.
+// Exit codes: 0 clean, 1 findings (an allow that suppresses nothing
+// counts), 2 usage error, a missing path, or a bad DESIGN.md layer-dag
+// block.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -26,9 +23,7 @@ namespace {
 
 int usage(const char* msg) {
   if (msg != nullptr) std::cerr << "hicc_analyze: " << msg << "\n";
-  std::cerr << "usage: hicc_analyze [--root=DIR] [--strict] [--baseline=FILE]\n"
-               "                    [--write-baseline] [--json=FILE] [--list-rules]\n"
-               "                    [--dump-dag] PATH...\n";
+  std::cerr << "usage: hicc_analyze [--root=DIR] [--json=FILE] [--list-rules] PATH...\n";
   return 2;
 }
 
@@ -43,25 +38,15 @@ bool take_value(const std::string& arg, const char* flag, std::string* out) {
 
 int main(int argc, char** argv) {
   hicc::analyze::Options opts;
-  bool write_baseline = false;
   bool list_rules = false;
-  bool dag = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     std::string value;
-    if (arg == "--strict") {
-      opts.strict = true;
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
-    } else if (arg == "--list-rules") {
+    if (arg == "--list-rules") {
       list_rules = true;
-    } else if (arg == "--dump-dag") {
-      dag = true;
     } else if (take_value(arg, "--root", &value)) {
       opts.root = value;
-    } else if (take_value(arg, "--baseline", &value)) {
-      opts.baseline_path = value;
     } else if (take_value(arg, "--json", &value)) {
       json_path = value;
     } else if (arg.rfind("--", 0) == 0) {
@@ -75,29 +60,12 @@ int main(int argc, char** argv) {
     for (const std::string& r : hicc::analyze::rule_ids()) std::cout << r << "\n";
     return 0;
   }
-  if (dag) {
-    std::cout << hicc::analyze::dump_dag();
-    return 0;
-  }
   if (opts.paths.empty()) return usage("at least one path required");
 
   hicc::analyze::Result res = hicc::analyze::run(opts);
-  if (res.io_error) {
-    std::cerr << res.io_message << "\n";
+  if (!res.error.empty()) {
+    std::cerr << res.error << "\n";
     return 2;
-  }
-
-  if (write_baseline) {
-    std::string path = opts.baseline_path.empty()
-                           ? opts.root + (opts.root.empty() ? "" : "/") +
-                                 "scripts/hicc_analyze_baseline.txt"
-                           : opts.baseline_path;
-    if (!hicc::analyze::write_baseline(path, res.all_error_keys)) {
-      std::cerr << "hicc_analyze: cannot write " << path << "\n";
-      return 2;
-    }
-    std::cout << "hicc_analyze: wrote " << path << "\n";
-    return 0;
   }
 
   if (!json_path.empty()) {
@@ -109,6 +77,6 @@ int main(int argc, char** argv) {
     out << hicc::analyze::to_json(res.findings, res.stats);
   }
 
-  std::cout << hicc::analyze::format_text(res, opts.strict);
+  std::cout << hicc::analyze::format_text(res);
   return res.failed ? 1 : 0;
 }
