@@ -2,21 +2,23 @@
 
 #include <fstream>
 
-#include "common/fmt.h"
-
 namespace hicc::trace {
 
 namespace {
 
-/// Sample times are printed in microseconds; picosecond resolution is
-/// 1e-6 us, so round-trip double formatting is exact.
-void put_time_us(std::ostream& os, TimePs t) { put_double(os, t.us()); }
+void append_double(std::string& row, double v) {
+  char buf[kDoubleChars];
+  row.append(buf, format_double(buf, v));
+}
+
+void write_row(std::ostream& os, const std::string& row) {
+  os.write(row.data(), static_cast<std::streamsize>(row.size()));
+}
 
 /// The category shown in the Chrome trace viewer: the probe name's
 /// first dotted component ("nic", "pcie", "iommu", ...).
-std::string category_of(const std::string& name) {
-  const auto dot = name.find('.');
-  return dot == std::string::npos ? name : name.substr(0, dot);
+std::string_view category_of(std::string_view name) {
+  return name.substr(0, name.find('.'));
 }
 
 }  // namespace
@@ -30,10 +32,13 @@ void CsvTraceWriter::begin(const std::vector<ProbeInfo>& probes) {
 }
 
 void CsvTraceWriter::sample(const ProbeInfo& probe, TimePs t, double value) {
-  put_time_us(os_, t);
-  os_ << "," << probe.name << ",";
-  put_double(os_, value);
-  os_ << "\n";
+  row_ = time_.format(t);
+  row_ += ',';
+  row_ += probe.name;
+  row_ += ',';
+  append_double(row_, value);
+  row_ += '\n';
+  write_row(os_, row_);
 }
 
 void CsvTraceWriter::end() { os_.flush(); }
@@ -49,14 +54,20 @@ void ChromeTraceWriter::begin(const std::vector<ProbeInfo>& probes) {
 }
 
 void ChromeTraceWriter::sample(const ProbeInfo& probe, TimePs t, double value) {
-  os_ << (first_event_ ? "\n" : ",\n");
+  row_ = first_event_ ? "\n" : ",\n";
   first_event_ = false;
-  os_ << " {\"name\": \"" << probe.name << "\", \"cat\": \"" << category_of(probe.name)
-      << "\", \"ph\": \"C\", \"ts\": ";
-  put_time_us(os_, t);
-  os_ << ", \"pid\": 1, \"tid\": 1, \"args\": {\"" << probe.unit << "\": ";
-  put_double(os_, value);
-  os_ << "}}";
+  row_ += " {\"name\": \"";
+  row_ += probe.name;
+  row_ += "\", \"cat\": \"";
+  row_ += category_of(probe.name);
+  row_ += "\", \"ph\": \"C\", \"ts\": ";
+  row_ += time_.format(t);
+  row_ += ", \"pid\": 1, \"tid\": 1, \"args\": {\"";
+  row_ += probe.unit;
+  row_ += "\": ";
+  append_double(row_, value);
+  row_ += "}}";
+  write_row(os_, row_);
 }
 
 void ChromeTraceWriter::end() {

@@ -11,19 +11,42 @@
 //    "ph":"C"), so a capture opens directly in chrome://tracing or
 //    https://ui.perfetto.dev with one named track per probe.
 //
-// Both writers stream: each sample is formatted as it arrives, nothing
-// is buffered beyond the ostream. Doubles use round-trip formatting
+// Both writers stream: each sample is formatted as it arrives into one
+// reused row buffer and reaches the ostream in a single write; nothing
+// is buffered beyond that row. Doubles use round-trip formatting
 // (common/fmt.h) so outputs are bitwise-stable across runs.
 #pragma once
 
+#include <cstddef>
 #include <fstream>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 
+#include "common/fmt.h"
 #include "trace/trace.h"
 
 namespace hicc::trace {
+
+/// The text of a sample time in microseconds. Every probe of a sampling
+/// pass shares one time, so it is formatted once per pass rather than
+/// once per row.
+class SampleTimeText {
+ public:
+  [[nodiscard]] std::string_view format(TimePs t) {
+    if (t != t_) {
+      t_ = t;
+      len_ = static_cast<std::size_t>(format_double(text_, t.us()) - text_);
+    }
+    return {text_, len_};
+  }
+
+ private:
+  TimePs t_{};
+  char text_[kDoubleChars] = {'0'};  // format_double of TimePs{}.us()
+  std::size_t len_ = 1;
+};
 
 /// Long-format CSV writer (schema "hicc.trace.v1").
 class CsvTraceWriter final : public TraceSink {
@@ -36,6 +59,8 @@ class CsvTraceWriter final : public TraceSink {
 
  private:
   std::ostream& os_;
+  SampleTimeText time_;
+  std::string row_;
 };
 
 /// Chrome trace_event JSON writer: one counter track per probe.
@@ -49,6 +74,8 @@ class ChromeTraceWriter final : public TraceSink {
 
  private:
   std::ostream& os_;
+  SampleTimeText time_;
+  std::string row_;
   bool first_event_ = true;
 };
 

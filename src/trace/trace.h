@@ -27,9 +27,9 @@
 // single inline pointer test, and the Tracer itself is a final,
 // non-polymorphic class (statically asserted below) -- virtual
 // dispatch exists only behind the TraceSink boundary, which is reached
-// once per sampling tick, never per packet. A run with tracing
-// disabled executes the exact same event sequence as an untraced run
-// (see tests/trace_test.cpp).
+// once per emitted series per sampling tick, never per packet. A run
+// with tracing disabled executes the exact same event sequence as an
+// untraced run (see tests/trace_test.cpp).
 #pragma once
 
 #include <cstdint>

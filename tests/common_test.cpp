@@ -1,13 +1,21 @@
-// Unit tests for the common foundation: units, RNG, statistics, tables.
+// Unit tests for the common foundation: units, RNG, statistics, tables,
+// round-trip double formatting.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 
+#include "common/fmt.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "fmt_reference.h"
 
 namespace hicc {
 namespace {
@@ -230,6 +238,87 @@ TEST(Table, CsvOutput) {
   std::ostringstream os;
   t.write_csv(os, 2);
   EXPECT_EQ(os.str(), "a,b\nx,1.50\n");
+}
+
+// ------------------------------------------------------------------ fmt
+
+std::string formatted(double v) {
+  char buf[kDoubleChars];
+  return {buf, format_double(buf, v)};
+}
+
+/// Formats every value both ways and returns how many differ; the first
+/// few mismatches are reported with their bit patterns.
+template <class Next>
+int count_mismatches(int n, Next next) {
+  std::ostringstream ref;
+  int mismatches = 0;
+  for (int i = 0; i < n; ++i) {
+    const double v = next();
+    ref.str(std::string());
+    testing_ref::put_double(ref, v);
+    const std::string got = formatted(v);
+    if (got != ref.str() && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v) << std::dec
+                    << ": got " << got << ", want " << ref.str();
+    }
+  }
+  return mismatches;
+}
+
+void expect_matches_reference(double v) {
+  std::ostringstream want;
+  testing_ref::put_double(want, v);
+  std::ostringstream got;
+  put_double(got, v);
+  EXPECT_EQ(got.str(), want.str()) << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(FormatDouble, MatchesReferenceOnEdgeValues) {
+  using Limits = std::numeric_limits<double>;
+  // Each value and its negation: +-0, +-inf and +-nan among them.
+  for (const double v : {0.0, Limits::infinity(), Limits::quiet_NaN(), Limits::denorm_min()}) {
+    expect_matches_reference(v);
+    expect_matches_reference(-v);
+  }
+  for (const double v : {DBL_MIN, DBL_MAX, 1e15, 1e16, 1e17, 1e-5, 1.0 / 3.0}) {
+    expect_matches_reference(v);
+  }
+  // The forms themselves, so a bug shared with the reference shows too.
+  EXPECT_EQ(formatted(-0.0), "-0");
+  EXPECT_EQ(formatted(-Limits::quiet_NaN()), "-nan");
+  EXPECT_EQ(formatted(Limits::denorm_min()), "4.94065645841247e-324");
+  EXPECT_EQ(formatted(1e15), "1e+15");
+  EXPECT_EQ(formatted(1e-5), "1e-05");
+  EXPECT_EQ(formatted(0.1), "0.1");
+  EXPECT_EQ(formatted(1.0 / 3.0), "0.3333333333333333");
+  EXPECT_EQ(formatted(DBL_MAX), "1.7976931348623157e+308");
+}
+
+// 1M random bit patterns in four seeded shards, so the suite can run
+// them side by side: the reference's snprintf is slow far from 1.
+class FormatDoubleRandomBits : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FormatDoubleRandomBits, MatchesReference) {
+  Rng rng(GetParam());
+  EXPECT_EQ(count_mismatches(250'000, [&] { return std::bit_cast<double>(rng()); }), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, FormatDoubleRandomBits, ::testing::Values(1, 2, 3, 4));
+
+// Trace times are picoseconds / 1e6: 5 us sampler ticks, and arbitrary
+// instants at every magnitude from 10 ps to 1000 s of simulated time.
+TEST(FormatDouble, MatchesReferenceOnPicosecondTimes) {
+  std::int64_t tick = 0;
+  EXPECT_EQ(count_mismatches(200'000, [&] { return TimePs(5'000'000 * tick++).us(); }), 0);
+
+  Rng rng(0x5eed);
+  std::uint64_t bound = 1;
+  const auto any_magnitude = [&] {
+    bound = bound >= 1'000'000'000'000'000ULL ? 10 : bound * 10;
+    return TimePs(static_cast<std::int64_t>(rng.below(bound))).us();
+  };
+  EXPECT_EQ(count_mismatches(300'000, any_magnitude), 0);
 }
 
 }  // namespace

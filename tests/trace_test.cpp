@@ -4,12 +4,15 @@
 // nothing but events_executed; disabled is bitwise identical).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
+#include "fault/script.h"
+#include "fmt_reference.h"
 #include "sim/simulator.h"
 #include "sweep/sweep.h"
 #include "trace/exporters.h"
@@ -375,6 +378,131 @@ TEST(TracedExperiment, CaptureRecordsTheDatapathSignals) {
   EXPECT_GT(sink.of("mem.bandwidth_gbps").back().value, 0.0);
   EXPECT_GT(sink.of("transport.cwnd_avg").back().value, 0.0);
   EXPECT_GT(sink.of("iommu.iotlb_hits").back().value, 0.0);
+}
+
+// ------------------------------------------ writer output byte identity
+
+// The writers as they were before each row was built in one buffer:
+// every piece through operator<< and the snprintf/strtod formatter.
+class ReferenceCsvWriter final : public TraceSink {
+ public:
+  explicit ReferenceCsvWriter(std::ostream& os) : os_(os) {}
+
+  void begin(const std::vector<ProbeInfo>& probes) override {
+    os_ << "# hicc.trace.v1\n";
+    for (const ProbeInfo& p : probes) {
+      os_ << "# probe," << p.name << "," << to_string(p.kind) << "," << p.unit << "\n";
+    }
+    os_ << "time_us,probe,value\n";
+  }
+  void sample(const ProbeInfo& probe, TimePs t, double value) override {
+    testing_ref::put_double(os_, t.us());
+    os_ << "," << probe.name << ",";
+    testing_ref::put_double(os_, value);
+    os_ << "\n";
+  }
+  void end() override { os_.flush(); }
+
+ private:
+  std::ostream& os_;
+};
+
+class ReferenceChromeWriter final : public TraceSink {
+ public:
+  explicit ReferenceChromeWriter(std::ostream& os) : os_(os) {}
+
+  void begin(const std::vector<ProbeInfo>& probes) override {
+    (void)probes;
+    os_ << "{\"otherData\": {\"schema\": \"hicc.trace.v1\"},\n"
+        << "\"displayTimeUnit\": \"ms\",\n"
+        << "\"traceEvents\": [\n"
+        << " {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 1, "
+           "\"args\": {\"name\": \"hicc\"}}";
+    first_event_ = false;
+  }
+  void sample(const ProbeInfo& probe, TimePs t, double value) override {
+    os_ << (first_event_ ? "\n" : ",\n");
+    first_event_ = false;
+    const auto dot = probe.name.find('.');
+    const std::string cat = dot == std::string::npos ? probe.name : probe.name.substr(0, dot);
+    os_ << " {\"name\": \"" << probe.name << "\", \"cat\": \"" << cat
+        << "\", \"ph\": \"C\", \"ts\": ";
+    testing_ref::put_double(os_, t.us());
+    os_ << ", \"pid\": 1, \"tid\": 1, \"args\": {\"" << probe.unit << "\": ";
+    testing_ref::put_double(os_, value);
+    os_ << "}}";
+  }
+  void end() override {
+    os_ << "\n]}\n";
+    os_.flush();
+  }
+
+ private:
+  std::ostream& os_;
+  bool first_event_ = true;
+};
+
+/// Hands every call to two sinks, so one run feeds both writers.
+class TeeSink final : public TraceSink {
+ public:
+  TeeSink(TraceSink& a, TraceSink& b) : a_(a), b_(b) {}
+
+  void begin(const std::vector<ProbeInfo>& probes) override {
+    a_.begin(probes);
+    b_.begin(probes);
+  }
+  void sample(const ProbeInfo& probe, TimePs t, double value) override {
+    a_.sample(probe, t, value);
+    b_.sample(probe, t, value);
+  }
+  void end() override {
+    a_.end();
+    b_.end();
+  }
+
+ private:
+  TraceSink& a_;
+  TraceSink& b_;
+};
+
+/// Runs a short traced experiment with a memory-antagonist window into
+/// `Writer` and `Reference` side by side and expects identical bytes.
+template <class Writer, class Reference>
+void expect_writer_matches_reference() {
+  ExperimentConfig cfg = small_config();
+  cfg.trace.enabled = true;
+  // 3.3 us ticks: fractional times, some needing 17 digits (23.099999999999998).
+  cfg.trace.sample_period = TimePs::from_ns(3'300);
+  const fault::ParseResult script = fault::parse_script("mem.antagonist@300us+200us,cores=15");
+  ASSERT_TRUE(script.ok());
+  cfg.faults = script.script;
+  Experiment exp(cfg);
+  std::ostringstream got;
+  std::ostringstream want;
+  Writer writer(got);
+  Reference reference(want);
+  TeeSink tee(writer, reference);
+  exp.tracer()->set_sink(&tee);
+  exp.run();
+  exp.tracer()->finish();
+
+  const std::string& g = got.str();
+  const std::string& w = want.str();
+  EXPECT_NE(w.find("fault.mem_antagonist"), std::string::npos);
+  const auto diff = std::mismatch(g.begin(), g.end(), w.begin(), w.end());
+  if (diff.first != g.end() || diff.second != w.end()) {
+    const auto at = static_cast<std::size_t>(diff.first - g.begin());
+    ADD_FAILURE() << "outputs differ at byte " << at << " of " << w.size() << ": got \""
+                  << g.substr(at, 60) << "\", want \"" << w.substr(at, 60) << "\"";
+  }
+}
+
+TEST(TracedExperiment, CsvWriterMatchesReferenceByteForByte) {
+  expect_writer_matches_reference<CsvTraceWriter, ReferenceCsvWriter>();
+}
+
+TEST(TracedExperiment, ChromeWriterMatchesReferenceByteForByte) {
+  expect_writer_matches_reference<ChromeTraceWriter, ReferenceChromeWriter>();
 }
 
 // --------------------------------------------------- no perturbation
