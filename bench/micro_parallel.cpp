@@ -101,7 +101,8 @@ BENCHMARK(BM_ReferenceSpin);
 /// Per-window fixed cost of the conservative engine: 9 empty partitions
 /// (the 2x2x8-cluster shape) advance one lookahead window per iteration.
 /// Arg is the engine thread count -- threads=1 is the pure window loop,
-/// threads>1 adds the publish/claim/barrier handshake. Must stay
+/// threads>1 adds the epoch/run/drain handoff between the threads (a
+/// yield-then-park wait on atomic counters). Must stay
 /// allocation-free after construction; this is the bench the CI
 /// regression gate pins (see docs/PERFORMANCE.md).
 void BM_ParallelWindowBarrier(benchmark::State& state) {

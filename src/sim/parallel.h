@@ -13,32 +13,38 @@
 //
 // Determinism contract (docs/PARALLELISM.md): the worker-thread count
 // never influences the logical event order. Partitions are disjoint
-// (one thread runs one partition's window at a time), mailbox rows are
-// single-writer (only the posting partition's thread appends during a
-// window; only the coordinator drains at the barrier), and drained
-// messages are merged in canonical `(time, src partition, seq)` order
-// before being scheduled -- a pure function of message content. Runs
-// with 1 and N threads are therefore bitwise identical, including
-// per-partition executed-event counts. A single-partition engine
-// degenerates to plain `Simulator::run_until` (one window, no message
-// splitting) and reproduces a serial run bitwise
-// (tests/parallel_test.cpp pins both properties).
+// and statically owned (partition p always runs on thread p mod T, the
+// coordinator being thread 0), mailbox rows are single-writer (only the
+// posting partition's thread appends during a window; only the thread
+// that owns the destination drains, once every thread has finished the
+// window), and drained messages are merged in canonical
+// `(time, src partition, seq)` order before being scheduled -- a pure
+// function of message content. Runs with 1 and N threads are therefore
+// bitwise identical, including per-partition executed-event counts. A
+// single-partition engine degenerates to plain `Simulator::run_until`
+// (one window, no message splitting) and reproduces a serial run
+// bitwise (tests/parallel_test.cpp pins both properties).
 //
-// Thread-safety model (TSan-gated in CI): all cross-thread handoffs --
-// window start, window completion, mailbox drain -- go through one
-// mutex/condvar pair, so partition state and mailbox rows are always
-// transferred with a happens-before edge. Partition code itself runs
-// single-threaded and needs no synchronization.
+// Thread-safety model (TSan-gated in CI): each window is three
+// acquire/release handoffs on atomic counters. The coordinator
+// publishes the window by bumping an epoch; every thread counts itself
+// on a run counter once its partitions reach the window end and waits
+// for all the others, then drains the rows bound for its own
+// partitions; the workers count themselves on a drain counter, which
+// the coordinator waits on before check_aborts() and the barrier hook
+// read the fully drained state. Partition state and mailbox rows
+// therefore always change hands with a happens-before edge. A waiter
+// yields for a bounded number of rounds, then parks in
+// std::atomic::wait; a waker calls notify_all only when a thread is
+// parked. Partition code itself runs single-threaded and needs no
+// synchronization.
 // hicc-lint: hotpath -- post() sits on the cross-partition packet path.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <string>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -56,12 +62,14 @@ struct ParallelParams {
   /// degenerate serial engine (one window, no event splitting).
   int partitions = 1;
   /// Window length = minimum cross-partition latency. Must be > 0
-  /// when partitions > 1; ClusterExperiment passes the topology's
-  /// edge-link propagation delay.
+  /// when partitions > 1 (the constructor throws otherwise);
+  /// ClusterExperiment passes the topology's edge-link propagation
+  /// delay.
   TimePs lookahead{};
   /// Worker threads executing partition windows; capped at
-  /// `partitions`. 1 runs every window on the calling thread. The
-  /// thread count never changes results, only wall-clock time.
+  /// `partitions`. 1 runs every window on the calling thread; with T
+  /// threads partition p always runs on thread p mod T. The thread
+  /// count never changes results, only wall-clock time.
   int threads = 1;
   /// Per-(src,dst) mailbox bound: the most cross-partition events one
   /// partition may post toward another in a single window. Exceeding
@@ -77,6 +85,9 @@ struct ParallelParams {
 /// code while a window runs.
 class ParallelEngine {
  public:
+  /// Starts the `threads - 1` workers. Throws std::invalid_argument
+  /// when partitions > 1 and lookahead <= 0: windows would never
+  /// advance time.
   explicit ParallelEngine(ParallelParams params);
   ~ParallelEngine();
 
@@ -114,17 +125,15 @@ class ParallelEngine {
     assert(t >= window_end_ &&
            "conservative lookahead violated: cross-partition event lands "
            "inside the running window");
-    Mailbox& box =
-        outbox_[static_cast<std::size_t>(src) * static_cast<std::size_t>(partitions_) +
-                static_cast<std::size_t>(dst)];
-    if (box.msgs.size() >= params_.mailbox_capacity) {
-      box.overflowed = true;
-      return;  // the overflow aborts the run at the next barrier
-    }
+    Mailbox& box = row(src, dst);
+    const std::size_t depth = box.msgs.size();
+    // A row's first message of the window marks it for the drain, and a
+    // full row records its overflow instead; both happen out of line.
+    if ((depth == 0 || depth >= params_.mailbox_capacity) && !open_row(src, dst)) return;
     // hicc-lint: allow(hot-vector-growth) -- amortized: rows keep their
     // capacity across windows (drain clears, never shrinks) and are
     // hard-bounded by mailbox_capacity.
-    box.msgs.push_back(Message{t, box.next_seq++, InlineAction(std::forward<F>(fn))});
+    box.msgs.push_back(Message{t, InlineAction(std::forward<F>(fn))});
   }
 
   /// Runs every partition until `end` in lookahead windows, draining
@@ -151,48 +160,72 @@ class ParallelEngine {
   /// Window barriers completed so far.
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
   /// Cross-partition messages delivered through the mailboxes so far.
-  [[nodiscard]] std::uint64_t messages_delivered() const { return messages_delivered_; }
+  [[nodiscard]] std::uint64_t messages_delivered() const;
   /// High-water mark of any single (src,dst) mailbox row, for sizing
   /// mailbox_capacity.
-  [[nodiscard]] std::size_t max_mailbox_depth() const { return max_mailbox_depth_; }
+  [[nodiscard]] std::size_t max_mailbox_depth() const;
 
  private:
-  /// One cross-partition event: `seq` is a per-row counter, so
-  /// `(time, src, seq)` totally orders every drained message.
+  /// One cross-partition event. Its row index is its per-row `seq`, so
+  /// `(time, src, index)` totally orders every drained message.
   struct Message {
     TimePs time{};
-    std::uint64_t seq = 0;
     InlineAction fn;
   };
 
   /// One (src,dst) row. Single-writer: the src partition's thread
-  /// appends during a window, the coordinator drains at the barrier.
+  /// appends during a window, the dst partition's thread drains it.
   struct Mailbox {
     std::vector<Message> msgs;
-    std::uint64_t next_seq = 0;
     bool overflowed = false;
   };
 
-  /// A drained message tagged with its source partition for the
-  /// canonical merge sort.
-  struct MergeEntry {
+  /// A drained message's sort key: `order` packs (src, row index).
+  struct MergeKey {
     TimePs time{};
-    int src = 0;
-    std::uint64_t seq = 0;
-    InlineAction fn;
+    std::uint64_t order = 0;
   };
 
-  void run_window(TimePs wend);
-  /// The shared partition-claim loop run by the coordinator and every
-  /// worker during a window.
-  void claim_partitions(TimePs wend);
-  void worker_main();
-  /// Merges and schedules every pending mailbox message; coordinator
-  /// only, all workers idle.
-  void drain_mailboxes();
-  /// Records watchdog trips and mailbox overflows; returns true when
-  /// the run must stop.
+  /// One thread's drain scratch and statistics, aligned to 64-byte
+  /// cache lines so the threads' drains do not false-share.
+  struct alignas(64) Lane {
+    std::vector<MergeKey> keys;
+    /// Sources whose row into a partition this thread owns overflowed.
+    std::vector<int> overflowed;
+    std::uint64_t delivered = 0;
+    std::size_t max_depth = 0;
+    /// Lowest aborted partition this thread owns, -1 when none.
+    int first_aborted = -1;
+  };
+
+  Mailbox& row(int src, int dst) {
+    const auto n = static_cast<std::size_t>(partitions_);
+    return outbox_[static_cast<std::size_t>(src) * n + static_cast<std::size_t>(dst)];
+  }
+  /// post()'s slow path: marks the row dirty on its first message and
+  /// returns false (recording the overflow) once the row is full.
+  bool open_row(int src, int dst);
+  /// Thread `t`'s part of window `epoch`: runs its partitions to
+  /// window_end_, waits for every thread, then drains the rows bound
+  /// for its partitions.
+  void run_share(int t, std::uint32_t epoch);
+  /// Merges and schedules the messages of every dirty row bound for
+  /// `dst`, in (time, src, seq) order.
+  void drain_into(int dst, Lane& lane);
+  void worker_main(int t);
+  /// Releases the workers from their wait for the next window and
+  /// joins them.
+  void stop_workers();
+  /// Applies the recorded mailbox overflows and finds the lowest
+  /// aborted partition; returns true when the run must stop.
   bool check_aborts();
+
+  /// Counts one arrival; the one that reaches `target` wakes parked
+  /// waiters.
+  void arrive(std::atomic<std::uint32_t>& word, std::uint32_t target);
+  /// Yields, then parks, until `word` equals `target`.
+  void await(const std::atomic<std::uint32_t>& word, std::uint32_t target);
+  void wake(std::atomic<std::uint32_t>& word);
 
   ParallelParams params_;
   int partitions_;
@@ -201,30 +234,30 @@ class ParallelEngine {
   /// End of the window being executed; post()'s conservative floor.
   TimePs window_end_{};
   std::uint64_t windows_ = 0;
-  std::uint64_t messages_delivered_ = 0;
-  std::size_t max_mailbox_depth_ = 0;
   int first_aborted_ = -1;
 
   std::vector<std::unique_ptr<Simulator>> sims_;
   /// Row-major [src * partitions_ + dst].
   std::vector<Mailbox> outbox_;
-  std::vector<MergeEntry> merge_scratch_;
+  /// Per destination, a bitmap of the sources whose row holds messages
+  /// (or an overflow): [dst * words_ + src / 64], bit src % 64.
+  std::size_t words_ = 1;
+  std::vector<std::atomic<std::uint64_t>> dirty_;
+  /// One per thread, indexed like the threads: 0 is the coordinator.
+  std::vector<Lane> lanes_;
   InlineAction barrier_hook_;
 
-  // Worker pool (empty when threads_ == 1). Handoff protocol: the
-  // coordinator publishes (window_end_shared_, generation_) under mu_,
-  // workers claim partitions via the atomic ticket, and completion is
-  // signaled back under mu_ -- every sim/mailbox access is separated
-  // by a mutex acquisition, giving TSan-verifiable happens-before.
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::atomic<int> next_partition_{0};
-  TimePs window_end_shared_{};
-  std::uint64_t generation_ = 0;
-  int idle_workers_ = 0;
+  // Worker pool (empty when threads_ == 1). Window k publishes epoch_
+  // = k; ran_ reaches k * threads_ once every thread has run window k,
+  // drained_ reaches k * (threads_ - 1) once every worker has drained
+  // it. The counters wrap; waits compare for equality. Each sits on
+  // its own cache line.
+  alignas(64) std::atomic<std::uint32_t> epoch_{0};
+  alignas(64) std::atomic<std::uint32_t> ran_{0};
+  alignas(64) std::atomic<std::uint32_t> drained_{0};
+  alignas(64) std::atomic<int> parked_{0};
   bool shutdown_ = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace hicc::sim

@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/cluster.h"
@@ -86,6 +88,53 @@ TEST(ParallelEngine, WindowCountFollowsLookaheadMath) {
   EXPECT_EQ(eng.now(), TimePs::from_us(13));
 }
 
+// partitions > 1 with no lookahead would never advance time: every
+// window would end where it starts.
+TEST(ParallelEngine, NonPositiveLookaheadIsRejected) {
+  for (int threads : {1, 2}) {
+    ParallelParams pp = params(2, threads);
+    pp.lookahead = TimePs{};
+    EXPECT_THROW(ParallelEngine eng(pp), std::invalid_argument) << threads;
+    pp.lookahead = TimePs(-1);
+    EXPECT_THROW(ParallelEngine eng(pp), std::invalid_argument) << threads;
+  }
+  // One partition runs each run_until as a single window.
+  ParallelParams one = params(1, 1);
+  one.lookahead = TimePs{};
+  ParallelEngine eng(one);
+  eng.run_until(TimePs::from_us(3));
+  EXPECT_EQ(eng.windows(), 1u);
+}
+
+// A self-rescheduling event that records which thread runs it.
+void schedule_thread_recorder(Simulator& s, std::set<std::thread::id>* ids) {
+  s.after(TimePs::from_us(1), [&s, ids] {
+    ids->insert(std::this_thread::get_id());
+    schedule_thread_recorder(s, ids);
+  });
+}
+
+// Static ownership: partition p runs on thread p mod T in every
+// window, so its state never moves between cores.
+TEST(ParallelEngine, PartitionsKeepTheirThread) {
+  for (int threads : {2, 3}) {
+    ParallelEngine eng(params(9, threads));
+    std::vector<std::set<std::thread::id>> ids(9);
+    for (int p = 0; p < 9; ++p) {
+      schedule_thread_recorder(eng.sim(p), &ids[static_cast<std::size_t>(p)]);
+    }
+    eng.run_until(TimePs::from_us(120));
+    ASSERT_EQ(eng.windows(), 60u) << threads;
+    std::set<std::thread::id> all;
+    for (int p = 0; p < 9; ++p) {
+      const std::set<std::thread::id>& seen = ids[static_cast<std::size_t>(p)];
+      EXPECT_EQ(seen.size(), 1u) << "partition " << p << ", threads " << threads;
+      all.insert(seen.begin(), seen.end());
+    }
+    EXPECT_EQ(all.size(), static_cast<std::size_t>(threads));
+  }
+}
+
 TEST(ParallelEngine, BarrierHookFiresOncePerWindow) {
   ParallelEngine eng(params(2, 2));
   int barriers = 0;
@@ -96,33 +145,43 @@ TEST(ParallelEngine, BarrierHookFiresOncePerWindow) {
 
 // --------------------------------------------- cross-partition merge
 
-// Runs the tie-merge scenario at a given thread count and returns the
-// order in which partition 0 observed the mailed events.
-std::vector<std::string> run_tie_merge(int threads) {
-  ParallelEngine eng(params(3, threads));
+// Runs the tie-merge scenario and returns the order in which
+// partition 0 observed the mailed events. Partition `hi` posts two
+// events and partition `lo` < `hi` one, all at the SAME destination
+// timestamp -- the zero-delta cross-partition tie. The canonical merge
+// (time, src partition, per-row seq) must order them lo first, then hi
+// in posting order, on every thread count. Partition 1 also mails the
+// last partition, so both ends of the partition range carry traffic.
+std::vector<std::string> run_tie_merge(int partitions, int lo, int hi, int threads) {
+  ParallelEngine eng(params(partitions, threads));
   std::vector<std::string> order;
+  int last_received = 0;
   const TimePs fire = TimePs::from_us(4);
-  // Partition 2 posts two events and partition 1 one, all at the SAME
-  // destination timestamp -- the zero-delta cross-partition tie. The
-  // canonical merge (time, src partition, per-row seq) must order them
-  // src1 first, then src2 in posting order, on every thread count.
-  eng.sim(2).at(TimePs::from_us(1), [&eng, &order, fire] {
-    eng.post(2, 0, fire, [&order] { order.push_back("src2.first"); });
-    eng.post(2, 0, fire, [&order] { order.push_back("src2.second"); });
+  eng.sim(hi).at(TimePs::from_us(1), [&eng, &order, hi, fire] {
+    eng.post(hi, 0, fire, [&order] { order.push_back("hi.first"); });
+    eng.post(hi, 0, fire, [&order] { order.push_back("hi.second"); });
   });
-  eng.sim(1).at(TimePs::from_us(1), [&eng, &order, fire] {
-    eng.post(1, 0, fire, [&order] { order.push_back("src1"); });
+  eng.sim(lo).at(TimePs::from_us(1), [&eng, &order, lo, fire] {
+    eng.post(lo, 0, fire, [&order] { order.push_back("lo"); });
+  });
+  const int last = partitions - 1;
+  eng.sim(1).at(TimePs::from_us(1), [&eng, &last_received, last, fire] {
+    eng.post(1, last, fire, [&last_received] { ++last_received; });
   });
   eng.run_until(TimePs::from_us(10));
-  EXPECT_EQ(eng.messages_delivered(), 3u);
+  EXPECT_EQ(eng.messages_delivered(), 4u);
+  EXPECT_EQ(last_received, 1);
   return order;
 }
 
 TEST(ParallelEngine, SameTimestampCrossPartitionTiesMergeCanonically) {
-  const std::vector<std::string> expected{"src1", "src2.first", "src2.second"};
-  EXPECT_EQ(run_tie_merge(1), expected);
-  EXPECT_EQ(run_tie_merge(2), expected);
-  EXPECT_EQ(run_tie_merge(3), expected);
+  const std::vector<std::string> expected{"lo", "hi.first", "hi.second"};
+  for (int threads : {1, 2, 3}) {
+    EXPECT_EQ(run_tie_merge(3, 1, 2, threads), expected) << threads;
+    // Sources 65 and 66 sit in the second 64-bit word of partition 0's
+    // source bitmap, and 69 is a destination past the first 64.
+    EXPECT_EQ(run_tie_merge(70, 65, 66, threads), expected) << threads;
+  }
 }
 
 // A message may land exactly on the window boundary (the zero-delay
@@ -131,8 +190,9 @@ TEST(ParallelEngine, SameTimestampCrossPartitionTiesMergeCanonically) {
 // sequence, so "local before mailed" is part of the deterministic
 // order.
 TEST(ParallelEngine, BoundaryTimestampDeliveryOrdersAfterLocalEvents) {
-  for (int threads : {1, 2}) {
-    ParallelEngine eng(params(2, threads));
+  for (int threads : {1, 2, 3}) {
+    // A third, idle partition lets threads=3 run three threads.
+    ParallelEngine eng(params(3, threads));
     std::vector<std::string> order;
     const TimePs boundary = TimePs::from_us(2);  // == first window end
     eng.sim(0).at(boundary, [&order] { order.push_back("local"); });
@@ -201,8 +261,9 @@ void schedule_dense_chain(Simulator& s, int* count) {
 }
 
 TEST(ParallelEngine, WatchdogAbortMidWindowStopsAtTheBarrier) {
-  for (int threads : {1, 2}) {
-    ParallelEngine eng(params(2, threads));
+  for (int threads : {1, 2, 3}) {
+    // A third, idle partition lets threads=3 run three threads.
+    ParallelEngine eng(params(3, threads));
     sim::WatchdogParams wd;
     wd.max_events = 5;
     eng.sim(1).set_watchdog(wd);
@@ -225,8 +286,9 @@ TEST(ParallelEngine, WatchdogAbortMidWindowStopsAtTheBarrier) {
 }
 
 TEST(ParallelEngine, MailboxOverflowAbortsTheSourcePartition) {
-  for (int threads : {1, 2}) {
-    ParallelParams pp = params(2, threads);
+  for (int threads : {1, 2, 3}) {
+    // A third, idle partition lets threads=3 run three threads.
+    ParallelParams pp = params(3, threads);
     pp.mailbox_capacity = 4;
     ParallelEngine eng(pp);
     int delivered = 0;
@@ -332,35 +394,45 @@ TracedRun run_traced_cluster(int parallelism) {
   return out;
 }
 
-// THE determinism contract: the worker-thread count is a pure
-// wall-clock knob. parallelism=1 and parallelism=4 must agree bit for
-// bit on metrics, every trace sample, and the sweep-harvested probe
-// map -- events_executed included.
-TEST(ClusterParallelParity, ThreadCountIsBitwiseInvariant) {
-  const TracedRun one = run_traced_cluster(1);
-  const TracedRun four = run_traced_cluster(4);
-
+void expect_same_traced_run(const TracedRun& one, const TracedRun& other) {
   ASSERT_EQ(one.metrics.per_receiver.size(), 2u);
-  ASSERT_EQ(four.metrics.per_receiver.size(), 2u);
+  ASSERT_EQ(other.metrics.per_receiver.size(), 2u);
   for (std::size_t r = 0; r < one.metrics.per_receiver.size(); ++r) {
-    expect_bitwise_identical(one.metrics.per_receiver[r], four.metrics.per_receiver[r]);
+    expect_bitwise_identical(one.metrics.per_receiver[r], other.metrics.per_receiver[r]);
   }
-  EXPECT_EQ(one.metrics.events_executed, four.metrics.events_executed);
-  EXPECT_EQ(one.metrics.total_fabric_drops, four.metrics.total_fabric_drops);
-  EXPECT_EQ(one.metrics.partitions, four.metrics.partitions);
-  EXPECT_EQ(one.metrics.parallel_windows, four.metrics.parallel_windows);
-  EXPECT_EQ(one.metrics.parallel_messages, four.metrics.parallel_messages);
+  EXPECT_EQ(one.metrics.events_executed, other.metrics.events_executed);
+  EXPECT_EQ(one.metrics.total_fabric_drops, other.metrics.total_fabric_drops);
+  EXPECT_EQ(one.metrics.partitions, other.metrics.partitions);
+  EXPECT_EQ(one.metrics.parallel_windows, other.metrics.parallel_windows);
+  EXPECT_EQ(one.metrics.parallel_messages, other.metrics.parallel_messages);
 
   // Trace output, sample for sample (name, timestamp, value).
-  ASSERT_EQ(one.samples.size(), four.samples.size());
+  ASSERT_EQ(one.samples.size(), other.samples.size());
   for (std::size_t i = 0; i < one.samples.size(); ++i) {
-    EXPECT_EQ(one.samples[i].probe, four.samples[i].probe);
-    EXPECT_EQ(one.samples[i].time, four.samples[i].time);
-    EXPECT_EQ(one.samples[i].value, four.samples[i].value) << one.samples[i].probe;
+    EXPECT_EQ(one.samples[i].probe, other.samples[i].probe);
+    EXPECT_EQ(one.samples[i].time, other.samples[i].time);
+    EXPECT_EQ(one.samples[i].value, other.samples[i].value) << one.samples[i].probe;
   }
 
   // Sweep-JSON probe harvest, key for key.
-  EXPECT_EQ(one.extra, four.extra);
+  EXPECT_EQ(one.extra, other.extra);
+}
+
+// THE determinism contract: the worker-thread count is a pure
+// wall-clock knob. parallelism=1, 3 and 4 must agree bit for bit on
+// metrics, every trace sample, and the sweep-harvested probe map --
+// events_executed included. 3 threads do not divide the 9 partitions
+// evenly.
+TEST(ClusterParallelParity, ThreadCountIsBitwiseInvariant) {
+  const TracedRun one = run_traced_cluster(1);
+  {
+    SCOPED_TRACE("parallelism 4");
+    expect_same_traced_run(one, run_traced_cluster(4));
+  }
+  {
+    SCOPED_TRACE("parallelism 3");
+    expect_same_traced_run(one, run_traced_cluster(3));
+  }
 }
 
 TEST(ClusterParallelParity, SameSeedReproducesParallelRunsBitwise) {
