@@ -151,13 +151,7 @@ int run_cluster_mode() {
 
   const auto t0 = std::chrono::steady_clock::now();
   ClusterExperiment exp(cfg);
-  const auto advance_to = [&exp](TimePs t) {
-    if (exp.engine() != nullptr) {
-      exp.engine()->run_until(t);
-    } else {
-      exp.simulator().run_until(t);
-    }
-  };
+  const auto advance_to = [&exp](TimePs t) { exp.engine()->run_until(t); };
   exp.start();
   TimePs now = cfg.host.warmup;
   advance_to(now);

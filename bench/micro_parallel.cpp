@@ -1,7 +1,7 @@
 // Parallel-engine micro-benchmarks (google-benchmark): the window
 // barrier and mailbox merge that bound ParallelEngine's per-window
 // overhead, plus the whole-cluster incast run at several engine thread
-// counts so serial-vs-parallel wall-clock is measured, not assumed.
+// counts so 1- vs 2-thread wall-clock is measured, not assumed.
 //
 // Doubles as the perf-regression harness for the parallel path:
 // `--json=PATH` writes a `hicc.bench.parallel.v1` JSON that CI compares
@@ -158,12 +158,11 @@ void BM_ParallelMailboxMerge(benchmark::State& state) {
 BENCHMARK(BM_ParallelMailboxMerge);
 
 /// Whole-cluster macro bench: the 2-leaf/2-spine 8-host incast with two
-/// full receiver hosts, end to end. Arg selects the execution mode --
-/// 0 is the legacy single-Simulator path, N >= 1 the partitioned engine
-/// with N threads -- so one record holds serial and parallel wall-clock
-/// side by side. Items/s is simulator events per wall-second; results
-/// are bitwise-identical across args >= 1 (tests/parallel_test.cpp), so
-/// any delta between rows is pure engine overhead or speedup.
+/// full receiver hosts, end to end. Arg is the engine thread count, so
+/// one record holds 1- and 2-thread wall-clock side by side. Items/s is
+/// simulator events per wall-second; results are bitwise-identical
+/// across args (tests/parallel_test.cpp), so any delta between rows is
+/// pure engine overhead or speedup.
 void BM_ClusterIncast(benchmark::State& state) {
   std::int64_t events = 0;
   for (auto _ : state) {
@@ -185,7 +184,7 @@ void BM_ClusterIncast(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.range(0)));
   state.SetItemsProcessed(events);
 }
-BENCHMARK(BM_ClusterIncast)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClusterIncast)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // `hicc.bench.parallel.v1` JSON output: micro_engine's tee reporter with

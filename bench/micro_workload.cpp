@@ -149,9 +149,9 @@ BENCHMARK(BM_SketchInsertMerge);
 
 /// Whole-cluster macro bench: the 2x2x8 cluster under open-loop bursty
 /// incast, end to end -- arrivals, slot churn, transport, full receiver
-/// stacks, sketch recording. Arg is the engine thread count (0 =
-/// legacy single simulator). Items/s is simulator events per
-/// wall-second, the figure that bounds 1M-flow sweep wall-clock.
+/// stacks, sketch recording. Arg is the engine thread count. Items/s
+/// is simulator events per wall-second, the figure that bounds 1M-flow
+/// sweep wall-clock.
 void BM_OpenLoopIncastEventRate(benchmark::State& state) {
   std::int64_t events = 0;
   std::int64_t flows = 0;
@@ -182,7 +182,7 @@ void BM_OpenLoopIncastEventRate(benchmark::State& state) {
       static_cast<double>(flows), benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(events);
 }
-BENCHMARK(BM_OpenLoopIncastEventRate)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OpenLoopIncastEventRate)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // `hicc.bench.workload.v1` JSON output: micro_engine's tee reporter

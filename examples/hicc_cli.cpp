@@ -124,11 +124,10 @@ void usage() {
       "  --antagonist-profile=A,B,...  per-receiver antagonist cores,\n"
       "                     cycled across receivers (heterogeneous fleet);\n"
       "                     overrides --antagonists on receiver hosts\n"
-      "  --parallel=N       run the cluster on the partitioned engine with\n"
-      "                     N threads (docs/PARALLELISM.md); 'auto' sizes\n"
-      "                     the pool like --jobs, 0 keeps the serial path\n"
-      "                     (default 0). Results are bitwise-identical for\n"
-      "                     every N >= 1\n"
+      "  --parallel=N       engine threads running the cluster's partitions\n"
+      "                     (docs/PARALLELISM.md), N >= 1; 'auto' sizes the\n"
+      "                     pool like --jobs (default 1). Results are\n"
+      "                     bitwise-identical for every N\n"
       "open-loop workload (docs/WORKLOADS.md; needs --topology):\n"
       "  --workload=PATTERN run receivers open loop: flows arrive by a\n"
       "                     random process and retire through a recyclable\n"
@@ -361,13 +360,13 @@ int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
     }
   }
 
-  const std::string parallel = flags.str("parallel", "0");
+  const std::string parallel = flags.str("parallel", "1");
   if (parallel == "auto") {
     // Same pool-sizing rule as sweep --jobs ($HICC_JOBS, then hardware
     // concurrency); the engine clamps to the partition count.
     cfg.parallelism = hicc::sweep::SweepRunner::resolve_jobs(0);
   } else {
-    cfg.parallelism = static_cast<int>(flags.number("parallel", 0));
+    cfg.parallelism = static_cast<int>(flags.number("parallel", 1));
   }
 
   if (const auto violations = hicc::validate(cfg); !violations.empty()) {
@@ -415,12 +414,10 @@ int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
               static_cast<long long>(cm.total_fabric_drops));
   std::printf("simulated          %.1f ms (%llu events)\n", cm.simulated_seconds * 1e3,
               static_cast<unsigned long long>(cm.events_executed));
-  if (cm.partitions > 0) {
-    std::printf("parallel engine    %d partitions, %llu windows, %llu cross-partition "
-                "messages\n",
-                cm.partitions, static_cast<unsigned long long>(cm.parallel_windows),
-                static_cast<unsigned long long>(cm.parallel_messages));
-  }
+  std::printf("parallel engine    %d partitions, %llu windows, %llu cross-partition "
+              "messages\n",
+              cm.partitions, static_cast<unsigned long long>(cm.parallel_windows),
+              static_cast<unsigned long long>(cm.parallel_messages));
   if (cm.workload.enabled) {
     std::printf("workload           %s/%s/%s: %lld started, %lld completed, %lld "
                 "pool-limited, %lld active\n",

@@ -28,43 +28,37 @@ ClusterConfig degenerate_cluster(const ExperimentConfig& cfg) {
 }
 
 ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
-    : cfg_(std::move(cfg)), rng_(cfg_.host.seed) {
+    : cfg_(std::move(cfg)),
+      rng_(cfg_.host.seed),
+      // Partition 0 the fabric interior, 1+h host h; the edge-link
+      // propagation is the conservative lookahead.
+      engine_({.partitions = 1 + cfg_.topology.num_hosts(),
+               .lookahead = cfg_.topology.edge_propagation,
+               .threads = cfg_.parallelism,
+               .mailbox_capacity = cfg_.mailbox_capacity > 0
+                                       ? cfg_.mailbox_capacity
+                                       : sim::ParallelParams{}.mailbox_capacity}) {
   receivers_ = cfg_.receivers;
   senders_per_receiver_ = cfg_.topology.num_hosts() - receivers_;
   cfg_.host.num_senders = senders_per_receiver_;
   cfg_.host.iommu.enabled = cfg_.host.iommu_enabled;
   cfg_.host.faults = fault::FaultScript{};  // cluster script is cfg_.faults
-
-  if (cfg_.parallelism >= 1) {
-    sim::ParallelParams pp;
-    pp.partitions = 1 + cfg_.topology.num_hosts();
-    pp.lookahead = cfg_.topology.edge_propagation;
-    pp.threads = cfg_.parallelism;
-    if (cfg_.mailbox_capacity > 0) pp.mailbox_capacity = cfg_.mailbox_capacity;
-    engine_ = std::make_unique<sim::ParallelEngine>(pp);
-    engine_->set_barrier_hook(sim::InlineAction([this] { on_barrier(); }));
-  }
+  engine_.set_barrier_hook(sim::InlineAction([this] { on_barrier(); }));
 
   if (cfg_.host.trace.enabled) {
-    tracer_ = std::make_unique<trace::Tracer>(fabric_sim(), cfg_.host.trace);
+    tracer_ = std::make_unique<trace::Tracer>(simulator(), cfg_.host.trace);
   }
 
-  fabric_ = engine_ != nullptr
-                ? std::make_unique<net::ClosFabric>(
-                      *engine_, cfg_.topology,
-                      [this](int h, net::Packet p) { dispatch(h, std::move(p)); })
-                : std::make_unique<net::ClosFabric>(
-                      sim_, cfg_.topology,
-                      [this](int h, net::Packet p) { dispatch(h, std::move(p)); });
+  fabric_ = std::make_unique<net::ClosFabric>(
+      engine_, cfg_.topology, [this](int h, net::Packet p) { dispatch(h, std::move(p)); });
 
   // Receiver stacks first, then (optional) sender stacks, then the
   // serving transports -- a fixed fork order so equal seeds reproduce
   // bitwise, and so the K=1 transport-only case forks exactly like the
   // legacy Experiment (mem, remote mem, receiver, senders 0..M-1).
-  // Construction is always single-threaded; in parallel mode each
-  // host's components simply schedule on its partition simulator, so
-  // the fork order (and hence every RNG stream) is thread-count
-  // independent.
+  // Construction is always single-threaded; each host's components
+  // simply schedule on its partition simulator, so the fork order (and
+  // hence every RNG stream) is thread-count independent.
   const bool open_loop = cfg_.workload.enabled();
   groups_.reserve(static_cast<std::size_t>(receivers_));
   for (int r = 0; r < receivers_; ++r) {
@@ -125,13 +119,11 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
       for (std::int32_t flow = 0; flow < recv.num_flows(); ++flow) {
         const int s = recv.sender_of_flow(flow);
         const int g = receivers_ + s;
-        // In parallel mode the controller's shared transport.* histograms
-        // are prefixed per sender machine: flows on different machines
-        // observe from different partitions, and host<g>.transport.* keeps
-        // every histogram single-writer (legacy runs keep the shared
-        // catalog names).
-        const trace::Tracer::ScopedPrefix prefix(
-            tracer_.get(), engine_ != nullptr ? trace::host_prefix(g) : "");
+        // The controller's shared transport.* histograms are prefixed
+        // per sender machine: flows on different machines observe from
+        // different partitions, and host<g>.transport.* keeps every
+        // histogram single-writer.
+        const trace::Tracer::ScopedPrefix prefix(tracer_.get(), trace::host_prefix(g));
         group.senders[static_cast<std::size_t>(s)]->add_flow(
             flow, make_congestion_control(host_sim(g), cfg_.host, tracer_.get()));
       }
@@ -195,27 +187,23 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
     });
   }
 
-  if (engine_ != nullptr) {
-    // Watchdogs guard each partition independently (deterministic per
-    // partition); the engine stops the whole run at the barrier after
-    // any trips.
-    for (int p = 0; p < engine_->partitions(); ++p) {
-      engine_->sim(p).set_watchdog(cfg_.host.watchdog);
-    }
-  } else {
-    sim_.set_watchdog(cfg_.host.watchdog);
+  // Watchdogs guard each partition independently (deterministic per
+  // partition); the engine stops the whole run at the barrier after
+  // any trips.
+  for (int p = 0; p < engine_.partitions(); ++p) {
+    engine_.sim(p).set_watchdog(cfg_.host.watchdog);
   }
 
-  // Last on purpose, exactly like Experiment: the engine forks the
-  // cluster RNG after every component has taken its stream. Fault
-  // injectors mutate cross-partition state mid-window, so validate()
-  // rejects faults + parallelism >= 1; this path is legacy-only.
+  // Last on purpose, exactly like Experiment: the fault engine forks
+  // the cluster RNG after every component has taken its stream. Its
+  // home is receiver 0's partition (host injectors, drop accounting);
+  // net.* entries also run on their link's partition.
   if (!cfg_.faults.empty()) {
     fault::FaultTargets targets;
     targets.clos = fabric_.get();
     targets.receiver = groups_[0].host.receiver.get();
     targets.antagonist = groups_[0].host.antagonist.get();
-    fault_engine_ = std::make_unique<fault::FaultEngine>(fabric_sim(), cfg_.faults, targets,
+    fault_engine_ = std::make_unique<fault::FaultEngine>(host_sim(0), cfg_.faults, targets,
                                                          rng_.fork(), tracer_.get());
   }
 }
@@ -251,12 +239,12 @@ void ClusterExperiment::start() {
   if (started_) return;
   started_ = true;
   if (tracer_ != nullptr) {
-    // Parallel mode samples from the window-barrier hook instead of a
+    // Sampling runs from the window-barrier hook instead of a
     // PeriodicTask (a mid-window sample would read partitions that are
     // executing); barrier instants are thread-count independent, so
     // trace output stays bitwise deterministic.
-    tracer_->start(/*arm_sampler=*/engine_ == nullptr);
-    next_sample_ = fabric_sim().now() + tracer_->params().sample_period;
+    tracer_->start(/*arm_sampler=*/false);
+    next_sample_ = engine_.now() + tracer_->params().sample_period;
   }
   for (auto& group : groups_) group.host.receiver->start();
   for (auto& engine : workload_engines_) engine->start();
@@ -264,18 +252,18 @@ void ClusterExperiment::start() {
 
 void ClusterExperiment::on_barrier() {
   if (tracer_ == nullptr || !started_) return;
-  if (engine_->now() >= next_sample_) {
+  if (engine_.now() >= next_sample_) {
     tracer_->sample_now();
     // One sample per barrier, stamped at the barrier time; catch up the
     // schedule if a window spanned several periods.
-    while (next_sample_ <= engine_->now()) {
+    while (next_sample_ <= engine_.now()) {
       next_sample_ = next_sample_ + tracer_->params().sample_period;
     }
   }
 }
 
 void ClusterExperiment::begin_window() {
-  window_start_time_ = fabric_sim().now();
+  window_start_time_ = simulator().now();
   fabric_window_start_ = fabric_->fabric_drops();
   for (int r = 0; r < receivers_; ++r) {
     ReceiverGroup& group = groups_[static_cast<std::size_t>(r)];
@@ -335,43 +323,29 @@ ClusterMetrics ClusterExperiment::snapshot() const {
     wm.host_delay_p99_us = wm.host_delay_us.quantile(0.99);
     wm.host_delay_p999_us = wm.host_delay_us.quantile(0.999);
   }
-  if (!cm.per_receiver.empty()) {
-    cm.run_status = cm.per_receiver[0].run_status;
-    cm.events_executed = cm.per_receiver[0].events_executed;
-    cm.simulated_seconds = cm.per_receiver[0].simulated_seconds;
-  }
-  if (engine_ != nullptr) {
-    // Run-global figures span every partition; per-receiver Metrics
-    // carry the same run-global values (matching the legacy contract
-    // that events_executed/run_status are not per-host quantities).
-    cm.partitions = engine_->partitions();
-    cm.parallel_windows = engine_->windows();
-    cm.parallel_messages = engine_->messages_delivered();
-    cm.events_executed = engine_->executed_total();
-    const int fa = engine_->first_aborted_partition();
-    if (fa >= 0) {
-      cm.run_status = to_run_status(engine_->sim(fa).abort_cause());
-    }
-    for (Metrics& m : cm.per_receiver) {
-      m.events_executed = cm.events_executed;
-      m.run_status = cm.run_status;
-      if (fa >= 0) m.run_status_detail = engine_->sim(fa).abort_reason();
-    }
+  if (!cm.per_receiver.empty()) cm.simulated_seconds = cm.per_receiver[0].simulated_seconds;
+  // Run-global figures span every partition; per-receiver Metrics
+  // carry the same run-global values (matching the legacy contract
+  // that events_executed/run_status are not per-host quantities).
+  cm.partitions = engine_.partitions();
+  cm.parallel_windows = engine_.windows();
+  cm.parallel_messages = engine_.messages_delivered();
+  cm.events_executed = engine_.executed_total();
+  const int fa = engine_.first_aborted_partition();
+  cm.run_status = fa >= 0 ? to_run_status(engine_.sim(fa).abort_cause()) : RunStatus::kOk;
+  for (Metrics& m : cm.per_receiver) {
+    m.events_executed = cm.events_executed;
+    m.run_status = cm.run_status;
+    if (fa >= 0) m.run_status_detail = engine_.sim(fa).abort_reason();
   }
   return cm;
 }
 
 ClusterMetrics ClusterExperiment::run() {
   start();
-  if (engine_ != nullptr) {
-    engine_->run_until(cfg_.host.warmup);
-    begin_window();
-    engine_->run_until(cfg_.host.warmup + cfg_.host.measure);
-    return snapshot();
-  }
-  sim_.run_until(cfg_.host.warmup);
+  engine_.run_until(cfg_.host.warmup);
   begin_window();
-  sim_.run_until(cfg_.host.warmup + cfg_.host.measure);
+  engine_.run_until(cfg_.host.warmup + cfg_.host.measure);
   return snapshot();
 }
 

@@ -23,16 +23,20 @@
 // host stacks, optional sender-host stacks, then per-(sender,
 // receiver) transports, fault engine last. With a one-leaf topology,
 // one receiver, and transport-only senders this is fork-for-fork the
-// legacy Experiment sequence, and the run reproduces its Metrics
-// bitwise (degenerate_cluster(), pinned by tests/cluster_test.cpp).
+// legacy Experiment sequence (degenerate_cluster()); the run then
+// matches Experiment's physical metrics as long as no cross-partition
+// delivery lands on the same picosecond as a host-local event, which
+// tests/cluster_test.cpp pins for its uncongested config.
 //
-// Parallel execution (ClusterConfig::parallelism >= 1): the run is
-// partitioned onto a sim::ParallelEngine -- fabric interior in
-// partition 0, each host (its FullHost, serving transports, and
-// uplink) in partition 1+h -- with construction order, RNG forks, and
-// per-partition event order all independent of the thread count, so
-// every parallelism >= 1 value yields bitwise-identical results. The
-// full model and its invariants are documented in docs/PARALLELISM.md.
+// Execution: every run is partitioned onto a sim::ParallelEngine --
+// fabric interior in partition 0, each host (its FullHost, serving
+// transports, and uplink) in partition 1+h -- with construction order,
+// RNG forks, and per-partition event order all independent of the
+// thread count, so every ClusterConfig::parallelism value yields
+// bitwise-identical results; at 1 the windows run on the calling
+// thread. Fault scripts run on the same partitions (fault/engine.h).
+// The full model and its invariants are documented in
+// docs/PARALLELISM.md.
 #pragma once
 
 #include <cstdint>
@@ -90,19 +94,15 @@ struct ClusterConfig {
   /// co-locate memory-heavy batch jobs (the paper's Fig. 1 population
   /// with drops at low utilization).
   std::vector<int> antagonist_profile;
-  /// Engine worker threads. 0 (default) keeps the legacy single
-  /// Simulator. >= 1 partitions the run onto a sim::ParallelEngine --
-  /// partition 0 the fabric interior, partition 1+h host h -- with the
-  /// edge-link propagation delay as the conservative lookahead and
-  /// this many threads executing windows. The value changes wall-clock
-  /// time only: any parallelism >= 1 produces bitwise-identical
-  /// metrics/trace/sweep output (docs/PARALLELISM.md; pinned by
-  /// tests/parallel_test.cpp). Requires edge_propagation > 0 and an
-  /// empty fault script (validate(); fault injectors mutate
-  /// cross-partition state mid-window).
-  int parallelism = 0;
-  /// Per-(window, destination) cross-partition mailbox row bound for
-  /// parallelism >= 1; 0 keeps the engine default (1M messages,
+  /// Threads of the sim::ParallelEngine that runs the cluster --
+  /// partition 0 the fabric interior, partition 1+h host h, with the
+  /// edge-link propagation delay as the conservative lookahead. Must
+  /// be >= 1 (validate()). The value changes wall-clock time only:
+  /// every value produces bitwise-identical metrics/trace/sweep output
+  /// (docs/PARALLELISM.md; pinned by tests/parallel_test.cpp).
+  int parallelism = 1;
+  /// Per-(window, destination) cross-partition mailbox row bound; 0
+  /// keeps the engine default (1M messages,
   /// sim/parallel.h). A run that posts more than this into one row in
   /// one window aborts deterministically with
   /// RunStatus::kMailboxOverflow -- the bound exists to turn a runaway
@@ -114,8 +114,9 @@ struct ClusterConfig {
 /// The degenerate one-leaf mapping of a legacy single-receiver config:
 /// N+1 hosts under one leaf (receiver plus N transport-only senders),
 /// edge links taking the legacy rates/buffers. With the default equal
-/// edge/access propagations this reproduces the legacy Experiment's
-/// Metrics bitwise (the parity test pins it).
+/// edge/access propagations it matches the legacy Experiment's physical
+/// Metrics while no cross-partition delivery ties a host-local event's
+/// picosecond; congested configs drift apart (docs/TOPOLOGY.md).
 [[nodiscard]] ClusterConfig degenerate_cluster(const ExperimentConfig& cfg);
 
 /// Open-loop workload results for one window: counters summed and
@@ -160,8 +161,8 @@ struct ClusterMetrics {
   RunStatus run_status = RunStatus::kOk;
   std::uint64_t events_executed = 0;
   double simulated_seconds = 0.0;
-  /// Parallel-engine accounting; all zero in legacy (parallelism=0)
-  /// runs. Thread-count invariant: equal for any parallelism >= 1.
+  /// Parallel-engine accounting. Thread-count invariant: equal for
+  /// any parallelism.
   int partitions = 0;
   std::uint64_t parallel_windows = 0;
   std::uint64_t parallel_messages = 0;
@@ -191,10 +192,12 @@ class ClusterExperiment {
   /// Snapshot of current metrics relative to the last begin_window().
   [[nodiscard]] ClusterMetrics snapshot() const;
 
-  /// The fabric-partition simulator (the only one in legacy mode).
-  [[nodiscard]] sim::Simulator& simulator() { return fabric_sim(); }
-  /// Null unless config().parallelism >= 1.
-  [[nodiscard]] sim::ParallelEngine* engine() { return engine_.get(); }
+  /// The fabric-partition simulator.
+  [[nodiscard]] sim::Simulator& simulator() {
+    return engine_.sim(net::ClosFabric::kFabricPartition);
+  }
+  /// The engine running every partition; never null.
+  [[nodiscard]] sim::ParallelEngine* engine() { return &engine_; }
   /// Null unless config().host.trace.enabled. Per-host component
   /// probes appear under host_prefix(h); see docs/OBSERVABILITY.md.
   [[nodiscard]] trace::Tracer* tracer() { return tracer_.get(); }
@@ -227,26 +230,17 @@ class ClusterExperiment {
   /// sampling at deterministic barrier instants).
   void on_barrier();
 
-  /// Partition-0 simulator in parallel mode, the lone sim_ otherwise.
-  [[nodiscard]] sim::Simulator& fabric_sim() {
-    return engine_ != nullptr ? engine_->sim(net::ClosFabric::kFabricPartition) : sim_;
-  }
-  [[nodiscard]] const sim::Simulator& fabric_sim() const {
-    return engine_ != nullptr ? engine_->sim(net::ClosFabric::kFabricPartition) : sim_;
-  }
-  /// Host h's partition simulator in parallel mode, sim_ otherwise.
+  /// Host h's partition simulator.
   [[nodiscard]] sim::Simulator& host_sim(int h) {
-    return engine_ != nullptr ? engine_->sim(net::ClosFabric::host_partition(h)) : sim_;
+    return engine_.sim(net::ClosFabric::host_partition(h));
   }
   [[nodiscard]] const sim::Simulator& host_sim(int h) const {
-    return engine_ != nullptr ? engine_->sim(net::ClosFabric::host_partition(h)) : sim_;
+    return engine_.sim(net::ClosFabric::host_partition(h));
   }
 
   ClusterConfig cfg_;
   Rng rng_;
-  sim::Simulator sim_;
-  /// Present iff cfg_.parallelism >= 1.
-  std::unique_ptr<sim::ParallelEngine> engine_;
+  sim::ParallelEngine engine_;
   /// Next trace-sample instant for barrier-driven sampling.
   TimePs next_sample_{};
   int receivers_ = 0;

@@ -307,8 +307,8 @@ std::vector<ConfigViolation> validate(const ClusterConfig& cfg) {
             "host link rate must be > 0");
   c.require(topo.fabric_link_rate.bps() > 0.0, "topology.fabric_link_rate",
             "fabric link rate must be > 0");
-  c.require(topo.edge_propagation >= TimePs(0), "topology.edge_propagation",
-            "propagation delay cannot be negative");
+  c.require(topo.edge_propagation > TimePs(0), "topology.edge_propagation",
+            "edge_propagation must be > 0: it is the engine's lookahead window");
   c.require(topo.fabric_propagation >= TimePs(0), "topology.fabric_propagation",
             "propagation delay cannot be negative");
   c.require(topo.edge_buffer >= cfg.host.wire.data_wire(), "topology.edge_buffer",
@@ -321,20 +321,7 @@ std::vector<ConfigViolation> validate(const ClusterConfig& cfg) {
             "receiver count must be in [1, num_hosts=" + std::to_string(topo.num_hosts()) +
                 "), leaving at least one sender machine");
 
-  // Parallel execution (docs/PARALLELISM.md): the conservative engine
-  // needs a positive lookahead (the edge propagation delay), and fault
-  // injectors are incompatible (they mutate cross-partition link/host
-  // state mid-window from the fabric partition).
-  c.require(cfg.parallelism >= 0, "parallelism",
-            "parallelism must be >= 0 (0 = legacy single-simulator run)");
-  if (cfg.parallelism >= 1) {
-    c.require(topo.edge_propagation > TimePs(0), "topology.edge_propagation",
-              "parallel runs need edge_propagation > 0: it is the engine's "
-              "conservative lookahead window");
-    c.require(cfg.faults.empty(), "faults",
-              "fault scripts are not supported with parallelism >= 1 "
-              "(injectors mutate cross-partition state mid-window)");
-  }
+  c.require(cfg.parallelism >= 1, "parallelism", "parallelism must be >= 1 (engine threads)");
 
   // Open-loop workload generation (src/workload, docs/WORKLOADS.md).
   if (cfg.workload.enabled()) {

@@ -46,7 +46,18 @@ FaultEngine::FaultEngine(sim::Simulator& sim, FaultScript script, FaultTargets t
     : sim_(sim), script_(std::move(script)), targets_(targets), rng_(rng) {
   states_.resize(script_.events.size());
   for (std::size_t i = 0; i < script_.events.size(); ++i) {
-    sim_.at(script_.events[i].at, [this, i] { activate(i); });
+    const FaultEvent& e = script_.events[i];
+    const net::QueuedLink* link = to_string(e.kind).starts_with("net.") ? link_of(e) : nullptr;
+    if (link == nullptr || &link->simulator() == &sim_) {
+      sim_.at(e.at, [this, i] { activate(i, &sim_, kAccount | kDevice); });
+      continue;
+    }
+    // The link lives on another partition: change it there, account
+    // for the window here. Both chains follow the script's own times.
+    sim::Simulator* owner = &link->simulator();
+    if (e.kind == FaultKind::kNetLoss) states_[i].remote_rng = rng_.fork();
+    owner->at(e.at, [this, i, owner] { activate(i, owner, kDevice); });
+    sim_.at(e.at, [this, i] { activate(i, &sim_, kAccount); });
   }
   if (tracer != nullptr && !script_.empty()) {
     tracer->gauge("fault.active", "faults",
@@ -103,10 +114,10 @@ net::QueuedLink* FaultEngine::link_of(const FaultEvent& e) const {
   return &targets_.fabric->uplink(link);
 }
 
-void FaultEngine::activate(std::size_t idx) {
+void FaultEngine::activate(std::size_t idx, sim::Simulator* on, unsigned role) {
   const FaultEvent& e = script_.events[idx];
   Active& a = states_[idx];
-  if (!a.active) {
+  if ((role & kAccount) != 0 && !a.active) {
     a.active = true;
     ++activations_;
     if (active_count_++ == 0) {
@@ -115,25 +126,32 @@ void FaultEngine::activate(std::size_t idx) {
       drops_at_last_tick_ = drops_at_union_start_;
       monitor_ = sim::PeriodicTask(sim_, kMonitorPeriod, [this] { monitor_tick(); });
     }
+  }
+  if ((role & kDevice) != 0 && !a.applied) {
+    a.applied = true;
     apply(idx);
   }
   if (e.duration != TimePs{}) {
-    sim_.after(e.duration, [this, idx] { deactivate(idx); });
+    on->after(e.duration, [this, idx, role] { deactivate(idx, role); });
   }
   if (e.period != TimePs{}) {
-    sim_.after(e.period, [this, idx] { activate(idx); });
+    on->after(e.period, [this, idx, on, role] { activate(idx, on, role); });
   }
 }
 
-void FaultEngine::deactivate(std::size_t idx) {
+void FaultEngine::deactivate(std::size_t idx, unsigned role) {
   Active& a = states_[idx];
-  if (!a.active) return;
-  a.active = false;
-  revert(idx);
-  if (--active_count_ == 0) {
-    report_.active_us += (sim_.now() - active_since_).us();
-    report_.drops += nic_drops() - drops_at_union_start_;
-    monitor_.stop();
+  if ((role & kDevice) != 0 && a.applied) {
+    a.applied = false;
+    revert(idx);
+  }
+  if ((role & kAccount) != 0 && a.active) {
+    a.active = false;
+    if (--active_count_ == 0) {
+      report_.active_us += (sim_.now() - active_since_).us();
+      report_.drops += nic_drops() - drops_at_union_start_;
+      monitor_.stop();
+    }
   }
 }
 
@@ -169,7 +187,11 @@ void FaultEngine::apply(std::size_t idx) {
       }
       break;
     case FaultKind::kNetLoss:
-      if (net::QueuedLink* link = link_of(e)) link->set_loss(param(e, "prob", 0.1), &rng_);
+      if (net::QueuedLink* link = link_of(e)) {
+        // rng_ belongs to the home; a remote link draws from its own.
+        link->set_loss(param(e, "prob", 0.1),
+                       &link->simulator() == &sim_ ? &rng_ : &a.remote_rng);
+      }
       break;
     case FaultKind::kNicCreditStall:
       if (targets_.receiver != nullptr) targets_.receiver->pcie().set_credit_freeze(true);

