@@ -156,9 +156,10 @@ void usage() {
       "                     entries, e.g.\n"
       "                       --faults='mem.antagonist@5ms+2ms,cores=15'\n"
       "                       --faults='net.loss@1ms+500us/2ms,prob=0.05'\n"
-      "                     in --topology runs, net.* events accept\n"
-      "                     leaf=+spine= (a leaf-spine link) or host= (an\n"
-      "                     edge uplink) targeting\n"
+      "                     net.* events target leaf=+spine= (a leaf-spine\n"
+      "                     link) or host= (a host's uplink; single-host\n"
+      "                     runs: host 0 the receiver, 1+i sender i); no\n"
+      "                     target is the receiver's access link\n"
       "run control:\n"
       "  --warmup-ms=N --measure-ms=N --seed=N\n"
       "  --max-events=N     watchdog: abort the run after N simulator\n"
@@ -696,7 +697,7 @@ int main(int argc, char** argv) {
 
   // A --topology run validates and executes as a ClusterConfig; the
   // flag-built cfg becomes its per-host template (with faults promoted
-  // to cluster scope, where topology targeting applies).
+  // to cluster scope, so host= indices name cluster hosts).
   if (!flags.str("topology", "").empty()) {
     return run_topology(flags, std::move(cfg), trace_path);
   }

@@ -10,18 +10,7 @@ namespace hicc {
 ClusterConfig degenerate_cluster(const ExperimentConfig& cfg) {
   ClusterConfig c;
   c.host = cfg;
-  c.topology.leaves = 1;
-  c.topology.spines = 1;
-  c.topology.hosts_per_leaf = cfg.num_senders + 1;
-  c.topology.host_link_rate = cfg.fabric.link_rate;
-  c.topology.fabric_link_rate = cfg.fabric.link_rate;
-  // Both degenerate hops are edge links; the legacy fabric's second
-  // hop uses access_propagation, so bitwise parity holds when the two
-  // propagations are equal (they are, by default: 2us each).
-  c.topology.edge_propagation = cfg.fabric.edge_propagation;
-  c.topology.fabric_propagation = cfg.fabric.access_propagation;
-  c.topology.edge_buffer = cfg.fabric.switch_buffer;
-  c.topology.fabric_buffer = cfg.fabric.switch_buffer;
+  c.topology = single_host_topology(cfg);
   c.receivers = 1;
   c.full_sender_hosts = false;
   return c;
@@ -200,7 +189,7 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
   // net.* entries also run on their link's partition.
   if (!cfg_.faults.empty()) {
     fault::FaultTargets targets;
-    targets.clos = fabric_.get();
+    targets.fabric = fabric_.get();
     targets.receiver = groups_[0].host.receiver.get();
     targets.antagonist = groups_[0].host.antagonist.get();
     fault_engine_ = std::make_unique<fault::FaultEngine>(host_sim(0), cfg_.faults, targets,

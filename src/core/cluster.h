@@ -23,7 +23,7 @@
 // host stacks, optional sender-host stacks, then per-(sender,
 // receiver) transports, fault engine last. With a one-leaf topology,
 // one receiver, and transport-only senders this is fork-for-fork the
-// legacy Experiment sequence (degenerate_cluster()); the run then
+// Experiment sequence (degenerate_cluster()); the run then
 // matches Experiment's physical metrics as long as no cross-partition
 // delivery lands on the same picosecond as a host-local event, which
 // tests/cluster_test.cpp pins for its uncongested config.
@@ -67,18 +67,18 @@ class WorkloadEngine;
 struct ClusterConfig {
   /// Per-host template: receiver knobs, transport, run control, seed.
   /// `num_senders` is overridden with the topology's sender-machine
-  /// count and `faults` is ignored (use ClusterConfig::faults, which
-  /// understands topology targeting).
+  /// count and `faults` is ignored (use ClusterConfig::faults).
   ExperimentConfig host;
   net::TopologyConfig topology;
   /// Hosts 0..receivers-1 run receiver workloads; the rest serve them.
   int receivers = 1;
   /// Build a full (quiescent) host stack on sender machines too. The
-  /// degenerate legacy mapping turns this off: the legacy Experiment
-  /// models senders at transport level only.
+  /// degenerate mapping turns this off: Experiment models senders at
+  /// transport level only.
   bool full_sender_hosts = true;
-  /// Cluster-level fault script; net.* events accept `leaf=`+`spine=`
-  /// (a leaf-spine link) or `host=` (a host uplink) targeting.
+  /// Cluster-level fault script; net.* events target `leaf=`+`spine=`
+  /// (a leaf-spine link), `host=` (a host uplink), or by default
+  /// receiver 0's downlink, as in every run (docs/FAULTS.md).
   fault::FaultScript faults;
   /// Open-loop workload generation (src/workload, docs/WORKLOADS.md).
   /// When `workload.pattern != off` every receiver runs a
@@ -111,11 +111,10 @@ struct ClusterConfig {
   std::size_t mailbox_capacity = 0;
 };
 
-/// The degenerate one-leaf mapping of a legacy single-receiver config:
-/// N+1 hosts under one leaf (receiver plus N transport-only senders),
-/// edge links taking the legacy rates/buffers. With the default equal
-/// edge/access propagations it matches the legacy Experiment's physical
-/// Metrics while no cross-partition delivery ties a host-local event's
+/// A single-host config run as a cluster: Experiment's own one-leaf
+/// topology (single_host_topology) with one receiver and N
+/// transport-only senders. It matches Experiment's physical Metrics
+/// while no cross-partition delivery ties a host-local event's
 /// picosecond; congested configs drift apart (docs/TOPOLOGY.md).
 [[nodiscard]] ClusterConfig degenerate_cluster(const ExperimentConfig& cfg);
 

@@ -14,8 +14,8 @@
 #include "mem/ddio.h"
 #include "mem/dram.h"
 #include "mem/stream_antagonist.h"
-#include "net/fabric.h"
 #include "net/packet.h"
+#include "net/topology.h"
 #include "nic/nic.h"
 #include "pcie/params.h"
 #include "trace/trace.h"
@@ -69,7 +69,7 @@ struct ExperimentConfig {
   nic::NicParams nic;
   mem::DramParams dram;
   mem::AntagonistParams antagonist;
-  net::FabricParams fabric;   // num_senders is overridden
+  net::FabricParams fabric;
   net::WireFormat wire;
   host::RxThreadParams thread;
   double copy_read_fraction = 0.29;
@@ -96,6 +96,25 @@ struct ExperimentConfig {
   /// bitwise identical to a build without the trace layer.
   trace::TraceParams trace;
 };
+
+/// The paper's testbed as a Clos: one leaf, one spine and
+/// num_senders + 1 hosts -- host 0 the receiver, host 1+i sender i --
+/// every port taking the fabric's rate, buffer and propagation.
+/// Experiment runs on it; degenerate_cluster() and validate() use the
+/// same mapping.
+[[nodiscard]] inline net::TopologyConfig single_host_topology(const ExperimentConfig& cfg) {
+  net::TopologyConfig t;
+  t.leaves = 1;
+  t.spines = 1;
+  t.hosts_per_leaf = cfg.num_senders + 1;
+  t.host_link_rate = cfg.fabric.link_rate;
+  t.fabric_link_rate = cfg.fabric.link_rate;
+  t.edge_propagation = cfg.fabric.propagation;
+  t.fabric_propagation = cfg.fabric.propagation;
+  t.edge_buffer = cfg.fabric.switch_buffer;
+  t.fabric_buffer = cfg.fabric.switch_buffer;
+  return t;
+}
 
 /// Knobs of the crash-isolating sweep supervisor (sweep/supervisor.h,
 /// docs/ROBUSTNESS.md): how long one point's worker subprocess may

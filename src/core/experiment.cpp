@@ -6,7 +6,6 @@ namespace hicc {
 
 Experiment::Experiment(ExperimentConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   cfg_.iommu.enabled = cfg_.iommu_enabled;
-  cfg_.fabric.num_senders = cfg_.num_senders;
 
   if (cfg_.trace.enabled) tracer_ = std::make_unique<trace::Tracer>(sim_, cfg_.trace);
 
@@ -21,17 +20,24 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   antagonist_ = std::move(host.antagonist);
   receiver_ = std::move(host.receiver);
 
-  fabric_ = std::make_unique<net::Fabric>(
-      sim_, cfg_.fabric, [this](net::Packet p) { receiver_->on_arrival(std::move(p)); },
-      [this](int i, net::Packet p) {
-        senders_[static_cast<std::size_t>(i)]->on_packet(p);
+  // Host 0 is the receiver, host 1+i sender i (single_host_topology).
+  fabric_ = std::make_unique<net::ClosFabric>(
+      sim_, single_host_topology(cfg_), [this](int h, net::Packet p) {
+        if (h == 0) {
+          receiver_->on_arrival(std::move(p));
+        } else {
+          senders_[static_cast<std::size_t>(h - 1)]->on_packet(p);
+        }
       });
 
   senders_.reserve(static_cast<std::size_t>(cfg_.num_senders));
   for (int i = 0; i < cfg_.num_senders; ++i) {
     senders_.push_back(std::make_unique<transport::SenderHost>(
         sim_, i, cfg_.wire,
-        [this, i](net::Packet p) { return fabric_->send_from_sender(i, std::move(p)); },
+        [this, i](net::Packet p) {
+          p.dst = 0;
+          return fabric_->send_from_host(1 + i, std::move(p));
+        },
         rng_.fork()));
   }
   for (std::int32_t flow = 0; flow < receiver_->num_flows(); ++flow) {
@@ -39,8 +45,11 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
                                                                                   make_cc());
   }
 
-  receiver_->set_transmit(
-      [this](net::Packet p) { return fabric_->send_from_receiver(std::move(p)); });
+  // ACKs and read requests carry the sender index they address.
+  receiver_->set_transmit([this](net::Packet p) {
+    p.dst = 1 + p.sender;
+    return fabric_->send_from_host(0, std::move(p));
+  });
 
   if (tracer_ != nullptr) {
     tracer_->gauge("transport.cwnd_avg", "packets", [this] {

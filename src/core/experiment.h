@@ -1,6 +1,8 @@
 // Experiment: assembles the full system (memory, IOMMU, PCIe, NIC,
 // receiver threads, fabric, sender hosts, congestion control), runs
-// warmup + a measurement window, and harvests Metrics.
+// warmup + a measurement window, and harvests Metrics. The fabric is
+// the one-leaf ClosFabric of single_host_topology() on the
+// experiment's one simulator: host 0 the receiver, host 1+i sender i.
 //
 // This is the primary public entry point of the library:
 //
@@ -23,7 +25,7 @@
 #include "host/receiver_host.h"
 #include "mem/memory_system.h"
 #include "mem/stream_antagonist.h"
-#include "net/fabric.h"
+#include "net/topology.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
 #include "transport/sender_host.h"
@@ -85,7 +87,7 @@ class Experiment {
   std::unique_ptr<mem::MemorySystem> remote_mem_;  // the other NUMA node
   std::unique_ptr<mem::StreamAntagonist> antagonist_;
   std::unique_ptr<host::ReceiverHost> receiver_;
-  std::unique_ptr<net::Fabric> fabric_;
+  std::unique_ptr<net::ClosFabric> fabric_;
   std::vector<std::unique_ptr<transport::SenderHost>> senders_;
   /// Built last (and forks rng_ last) so runs whose script never fires
   /// stay event-identical to engine-less runs; null when no script.

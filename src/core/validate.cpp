@@ -37,15 +37,10 @@ std::string fmt(double v) {
 /// Per-kind parameter contract of the fault script: which keys an
 /// injector understands (validated so a typo like `core=8` fails loudly
 /// instead of silently applying the default).
-const std::set<std::string>& known_params(fault::FaultKind kind, bool clos_targets) {
-  static const std::set<std::string> net_link{"link"};
-  static const std::set<std::string> net_rate{"link", "gbps"};
-  static const std::set<std::string> net_loss{"link", "prob"};
-  // Cluster scripts target topology links by coordinates, not by the
-  // legacy sender-uplink index.
-  static const std::set<std::string> clos_link{"leaf", "spine", "host"};
-  static const std::set<std::string> clos_rate{"leaf", "spine", "host", "gbps"};
-  static const std::set<std::string> clos_loss{"leaf", "spine", "host", "prob"};
+const std::set<std::string>& known_params(fault::FaultKind kind) {
+  static const std::set<std::string> net_link{"leaf", "spine", "host"};
+  static const std::set<std::string> net_rate{"leaf", "spine", "host", "gbps"};
+  static const std::set<std::string> net_loss{"leaf", "spine", "host", "prob"};
   static const std::set<std::string> none{};
   static const std::set<std::string> squeeze{"kb"};
   static const std::set<std::string> storm{"per_us"};
@@ -55,11 +50,11 @@ const std::set<std::string>& known_params(fault::FaultKind kind, bool clos_targe
   static const std::set<std::string> churn{"flows"};
   switch (kind) {
     case fault::FaultKind::kNetLinkDown:
-      return clos_targets ? clos_link : net_link;
+      return net_link;
     case fault::FaultKind::kNetRate:
-      return clos_targets ? clos_rate : net_rate;
+      return net_rate;
     case fault::FaultKind::kNetLoss:
-      return clos_targets ? clos_loss : net_loss;
+      return net_loss;
     case fault::FaultKind::kNicCreditStall:
       return none;
     case fault::FaultKind::kNicBufferSqueeze:
@@ -78,11 +73,11 @@ const std::set<std::string>& known_params(fault::FaultKind kind, bool clos_targe
   return none;
 }
 
-/// `topo` selects net.* targeting: null validates the legacy `link=`
-/// index, non-null the cluster's `leaf=`+`spine=` / `host=` coordinates.
+/// net.* entries name a link of `topo` by its `leaf=`+`spine=` /
+/// `host=` coordinates, or none for receiver 0's downlink.
 void validate_fault_event(const ExperimentConfig& cfg, const fault::FaultEvent& e,
                           const std::string& where, Checker& c,
-                          const net::TopologyConfig* topo = nullptr) {
+                          const net::TopologyConfig& topo) {
   c.require(e.at >= TimePs(0), where + ".at", "activation time must be >= 0");
   c.require(e.duration >= TimePs(0), where + ".duration", "duration must be >= 0");
   if (e.period != TimePs(0)) {
@@ -94,7 +89,7 @@ void validate_fault_event(const ExperimentConfig& cfg, const fault::FaultEvent& 
   }
 
   for (const auto& [key, value] : e.params) {
-    if (known_params(e.kind, topo != nullptr).count(key) == 0) {
+    if (known_params(e.kind).count(key) == 0) {
       c.fail(where + "." + key,
              "unknown parameter for " + std::string(fault::to_string(e.kind)) +
                  " (check docs/FAULTS.md for the injector's keys)");
@@ -112,40 +107,30 @@ void validate_fault_event(const ExperimentConfig& cfg, const fault::FaultEvent& 
     case fault::FaultKind::kNetLinkDown:
     case fault::FaultKind::kNetRate:
     case fault::FaultKind::kNetLoss: {
-      if (topo != nullptr) {
-        const double leaf = get("leaf", -1.0);
-        const double spine = get("spine", -1.0);
-        const double host = get("host", -1.0);
-        c.require(has("leaf") == has("spine"), where + ".leaf",
-                  "leaf= and spine= name a leaf-spine link together; give both or neither");
-        c.require(!(has("host") && (has("leaf") || has("spine"))), where + ".host",
-                  "host= (an edge uplink) is exclusive with leaf=/spine=");
-        if (has("leaf")) {
-          c.require(leaf >= 0.0 && leaf < static_cast<double>(topo->leaves) &&
-                        leaf == std::floor(leaf),
-                    where + ".leaf",
-                    "leaf must be an index in [0, " + std::to_string(topo->leaves) + ")");
-        }
-        if (has("spine")) {
-          c.require(spine >= 0.0 && spine < static_cast<double>(topo->spines) &&
-                        spine == std::floor(spine),
-                    where + ".spine",
-                    "spine must be an index in [0, " + std::to_string(topo->spines) + ")");
-        }
-        if (has("host")) {
-          c.require(host >= 0.0 && host < static_cast<double>(topo->num_hosts()) &&
-                        host == std::floor(host),
-                    where + ".host",
-                    "host must be an index in [0, " + std::to_string(topo->num_hosts()) +
-                        ")");
-        }
-      } else {
-        const double link = get("link", -1.0);
-        c.require(link >= -1.0 && link < static_cast<double>(cfg.num_senders) &&
-                      link == std::floor(link),
-                  where + ".link",
-                  "link must be 'access' (-1) or a sender uplink index in [0, " +
-                      std::to_string(cfg.num_senders) + ")");
+      const double leaf = get("leaf", -1.0);
+      const double spine = get("spine", -1.0);
+      const double host = get("host", -1.0);
+      c.require(has("leaf") == has("spine"), where + ".leaf",
+                "leaf= and spine= name a leaf-spine link together; give both or neither");
+      c.require(!(has("host") && (has("leaf") || has("spine"))), where + ".host",
+                "host= (an edge uplink) is exclusive with leaf=/spine=");
+      if (has("leaf")) {
+        c.require(leaf >= 0.0 && leaf < static_cast<double>(topo.leaves) &&
+                      leaf == std::floor(leaf),
+                  where + ".leaf",
+                  "leaf must be an index in [0, " + std::to_string(topo.leaves) + ")");
+      }
+      if (has("spine")) {
+        c.require(spine >= 0.0 && spine < static_cast<double>(topo.spines) &&
+                      spine == std::floor(spine),
+                  where + ".spine",
+                  "spine must be an index in [0, " + std::to_string(topo.spines) + ")");
+      }
+      if (has("host")) {
+        c.require(host >= 0.0 && host < static_cast<double>(topo.num_hosts()) &&
+                      host == std::floor(host),
+                  where + ".host",
+                  "host must be an index in [0, " + std::to_string(topo.num_hosts()) + ")");
       }
       if (e.kind == fault::FaultKind::kNetRate) {
         c.require(has("gbps"), where + ".gbps", "net.rate needs a target rate, e.g. gbps=25");
@@ -264,10 +249,13 @@ std::vector<ConfigViolation> validate(const ExperimentConfig& cfg) {
             "ddio.ddio_ways",
             "IO ways must be in [0, llc_ways=" + std::to_string(cfg.ddio.llc_ways) + "]");
 
-  // Fabric.
+  // Fabric: the bounds validate(ClusterConfig) puts on its edge ports.
   c.require(cfg.fabric.link_rate.bps() > 0.0, "fabric.link_rate", "link rate must be > 0");
-  c.require(cfg.fabric.switch_buffer.count() > 0, "fabric.switch_buffer",
-            "switch buffering must be > 0 bytes");
+  c.require(cfg.fabric.switch_buffer >= cfg.wire.data_wire(), "fabric.switch_buffer",
+            "switch port buffer must hold at least one wire MTU (" +
+                std::to_string(cfg.wire.data_wire().count()) + " bytes)");
+  c.require(cfg.fabric.propagation >= TimePs(0), "fabric.propagation",
+            "propagation delay cannot be negative");
 
   // Transport.
   c.require(cfg.swift.host_target > TimePs(0), "swift.host_target",
@@ -284,8 +272,10 @@ std::vector<ConfigViolation> validate(const ExperimentConfig& cfg) {
             "trace sampling period must be > 0 when tracing is enabled");
 
   // Fault script semantics (syntax errors are caught by parse_script).
+  const net::TopologyConfig topo = single_host_topology(cfg);
   for (std::size_t i = 0; i < cfg.faults.events.size(); ++i) {
-    validate_fault_event(cfg, cfg.faults.events[i], "faults[" + std::to_string(i) + "]", c);
+    validate_fault_event(cfg, cfg.faults.events[i], "faults[" + std::to_string(i) + "]", c,
+                         topo);
   }
 
   return violations;
@@ -360,7 +350,7 @@ std::vector<ConfigViolation> validate(const ClusterConfig& cfg) {
   }
 
   // The per-host template, as ClusterExperiment will actually run it:
-  // num_senders overridden by the topology, the legacy fault script
+  // num_senders overridden by the topology, the template's fault script
   // ignored in favor of cfg.faults.
   ExperimentConfig host = cfg.host;
   host.num_senders = std::max(1, topo.num_hosts() - cfg.receivers);
@@ -372,7 +362,7 @@ std::vector<ConfigViolation> validate(const ClusterConfig& cfg) {
 
   for (std::size_t i = 0; i < cfg.faults.events.size(); ++i) {
     validate_fault_event(host, cfg.faults.events[i], "faults[" + std::to_string(i) + "]", c,
-                         &topo);
+                         topo);
   }
 
   return violations;

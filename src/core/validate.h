@@ -28,14 +28,15 @@ struct ConfigViolation {
 };
 
 /// Checks `cfg` for nonsensical values across every subsystem plus the
-/// fault script's semantic constraints. Empty result = valid. Never
+/// fault script's semantic constraints (net.* targets are links of
+/// single_host_topology(cfg)). Empty result = valid. Never
 /// throws; ordering is stable (declaration order, then script order).
 [[nodiscard]] std::vector<ConfigViolation> validate(const ExperimentConfig& cfg);
 
 /// Cluster variant (core/cluster.h): checks the topology shape, the
 /// effective per-host config (violations prefixed "host."), and the
-/// cluster fault script -- whose net.* events target topology links by
-/// `leaf=`+`spine=` or `host=` rather than the legacy `link=` index.
+/// cluster fault script, whose net.* targets are checked against the
+/// cluster's topology.
 [[nodiscard]] std::vector<ConfigViolation> validate(const ClusterConfig& cfg);
 
 /// Supervisor variant (sweep/supervisor.h): checks the per-point

@@ -35,7 +35,6 @@
 
 namespace hicc::net {
 class ClosFabric;
-class Fabric;
 class QueuedLink;
 }  // namespace hicc::net
 namespace hicc::host {
@@ -52,11 +51,11 @@ namespace hicc::fault {
 /// disable the injectors that need them (validation catches scripts
 /// that would hit a null target before a run starts).
 struct FaultTargets {
-  net::Fabric* fabric = nullptr;
-  /// Clos topology runs set this instead of `fabric`; net.* events may
-  /// then target a leaf-spine link (`leaf=`+`spine=`) or a host uplink
-  /// (`host=`), defaulting to receiver 0's downlink port.
-  net::ClosFabric* clos = nullptr;
+  /// The run's fabric -- the one-leaf testbed in Experiment, the
+  /// topology in a cluster. net.* events target a leaf-spine link
+  /// (`leaf=`+`spine=`) or a host uplink (`host=`), defaulting to
+  /// receiver 0's downlink, the access link.
+  net::ClosFabric* fabric = nullptr;
   host::ReceiverHost* receiver = nullptr;
   mem::StreamAntagonist* antagonist = nullptr;
 };

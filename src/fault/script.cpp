@@ -173,7 +173,7 @@ ParseResult parse_script(std::string_view spec) {
       entry_ok = false;
     }
 
-    // key=value params; `link=access` is sugar for link=-1.
+    // key=value params, every value numeric.
     while (!rest.empty()) {
       std::string_view kv = rest;
       if (const std::size_t comma = rest.find(','); comma != std::string_view::npos) {
@@ -192,20 +192,14 @@ ParseResult parse_script(std::string_view spec) {
         continue;
       }
       const std::string key(trim(kv.substr(0, eq)));
-      const std::string_view value_text = trim(kv.substr(eq + 1));
-      double value = 0.0;
-      if (key == "link" && value_text == "access") {
-        value = -1.0;
-      } else {
-        const std::string buf(value_text);
-        char* end = nullptr;
-        value = std::strtod(buf.c_str(), &end);
-        if (end == buf.c_str() || trim(std::string_view(end)) != "") {
-          result.errors.push_back(where + ": parameter '" + key + "' has non-numeric value '" +
-                                  std::string(value_text) + "'");
-          entry_ok = false;
-          continue;
-        }
+      const std::string value_text(trim(kv.substr(eq + 1)));
+      char* end = nullptr;
+      const double value = std::strtod(value_text.c_str(), &end);
+      if (end == value_text.c_str() || trim(std::string_view(end)) != "") {
+        result.errors.push_back(where + ": parameter '" + key + "' has non-numeric value '" +
+                                value_text + "'");
+        entry_ok = false;
+        continue;
       }
       if (!ev.params.emplace(key, value).second) {
         result.errors.push_back(where + ": duplicate parameter '" + key + "'");

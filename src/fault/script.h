@@ -14,10 +14,12 @@
 // `@t` is the activation instant, `+d` an optional window duration
 // (omitted or 0 = permanent), `/p` an optional repeat period. Example:
 //
-//   mem.antagonist@5ms+2ms/10ms,cores=8;net.rate@12ms+1ms,link=access,gbps=25
+//   mem.antagonist@5ms+2ms/10ms,cores=8;net.rate@12ms+1ms,gbps=25
 //
 // ramps 8 antagonist cores for 2ms every 10ms starting at 5ms, and
-// downgrades the access link to 25 Gbps for 1ms at 12ms.
+// downgrades the access link to 25 Gbps for 1ms at 12ms. Every value
+// is a number: net.* entries name their link by `leaf=`+`spine=` or
+// `host=`, and no target means the access link (docs/FAULTS.md).
 #pragma once
 
 #include <cstdint>

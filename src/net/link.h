@@ -1,7 +1,7 @@
 // A unidirectional link with an output queue: serialization at a fixed
 // rate, propagation delay, and a byte-bounded FIFO that tail-drops.
-// Used for sender uplinks, the ToR->receiver access link, and the
-// reverse (ACK) path.
+// Every port of the Clos fabric (net/topology.h) is one: host uplinks
+// and downlinks, and the leaf-spine links.
 #pragma once
 
 #include <cstdint>

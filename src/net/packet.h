@@ -23,10 +23,10 @@ struct Packet {
   std::int32_t flow = -1;
   /// Index of the sending host for data, or destination for ACKs.
   std::int32_t sender = -1;
-  /// Destination host id for multi-host (Clos) routing; -1 in the
-  /// legacy single-receiver fabric. Occupies the alignment hole after
-  /// `sender`, so Packet stays 64 bytes and the QueuedLink delivery
-  /// closure keeps fitting an 80-byte InlineAction (DESIGN §8).
+  /// Destination host id the Clos fabric routes on (net/topology.h);
+  /// every sender sets it before transmitting. Occupies the alignment
+  /// hole after `sender`, so Packet stays 64 bytes and the QueuedLink
+  /// delivery closure keeps fitting an 80-byte InlineAction (DESIGN §8).
   std::int32_t dst = -1;
   /// Per-flow sequence number of data packets; for ACKs, the sequence
   /// being acknowledged.

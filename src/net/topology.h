@@ -1,7 +1,9 @@
-// Config-driven Clos leaf/spine fabric generalizing the single-ToR
-// Fabric: `leaves` leaf switches, `spines` spine switches, and
-// `hosts_per_leaf` hosts per leaf, every port modeled as a QueuedLink
-// (serialization + propagation + byte-bounded tail-drop FIFO).
+// Config-driven Clos leaf/spine fabric: `leaves` leaf switches,
+// `spines` spine switches, and `hosts_per_leaf` hosts per leaf, every
+// port modeled as a QueuedLink (serialization + propagation +
+// byte-bounded tail-drop FIFO). It is the only fabric model: the
+// paper's single-host testbed is its one-leaf case
+// (single_host_topology() in core/config.h).
 //
 //   host --uplink--> [leaf] --leaf_uplink--> [spine]
 //                      |                        |
@@ -13,14 +15,12 @@
 // The spine is chosen by stateless ECMP: a splitmix64 hash of
 // (ecmp_seed, flow, sender, dst), so every packet of a flow takes the
 // same path and two runs with equal seeds make identical choices --
-// the fabric draws no RNG stream and schedules no events of its own,
-// which is what lets a one-leaf config reproduce the legacy Fabric
-// bitwise (tests/cluster_test.cpp).
+// the fabric draws no RNG stream and schedules no events of its own.
 //
-// Like the legacy fabric, the Clos is deliberately uncongested in the
-// paper's experiments: per-port drop counts (plus an O(1) running
-// total) let experiments verify the "all drops are host drops" claim
-// per receiver even with thousands of ports.
+// The fabric is deliberately uncongested in the paper's experiments:
+// per-port drop counts (plus an O(1) running total) let experiments
+// verify the "all drops are host drops" claim (Fig 1 footnote) per
+// receiver even with thousands of ports.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +36,16 @@
 #include "sim/simulator.h"
 
 namespace hicc::net {
+
+/// Switch-port parameters of the single-host testbed: every port of
+/// its one-leaf Clos takes these (core/config.h, single_host_topology).
+struct FabricParams {
+  BitRate link_rate = BitRate::gbps(100);
+  /// Per-port switch buffering.
+  Bytes switch_buffer = Bytes::mib(8);
+  /// One-way propagation of every hop (host-to-ToR and ToR-to-host).
+  TimePs propagation = TimePs::from_us(2);
+};
 
 /// Clos topology + timing parameters. Validated by
 /// hicc::validate(const ClusterConfig&) (src/core/validate.h).
@@ -130,7 +140,7 @@ class ClosFabric {
   }
 
   /// Occupancy of host `h`'s downlink port -- the congestion-relevant
-  /// queue in an incast toward h (the access-link analog).
+  /// queue in an incast toward h (its access link).
   [[nodiscard]] Bytes host_queue(int h) const {
     return host_down_[static_cast<std::size_t>(h)]->queued();
   }

@@ -193,7 +193,7 @@ TEST(ClusterValidation, AggregatesTopologyHostAndFaultViolations) {
   bad.topology.host_link_rate = BitRate::gbps(0);  // dead edge links
   bad.receivers = 99;                            // more receivers than hosts
   bad.host.rx_threads = 0;                       // per-host template
-  bad.faults = fault::parse_script("net.link_down@1ms,link=2").script;  // legacy key
+  bad.faults = fault::parse_script("net.link_down@1ms,link=2").script;  // unknown key
 
   const auto violations = validate(bad);
   std::set<std::string> fields;
@@ -202,8 +202,8 @@ TEST(ClusterValidation, AggregatesTopologyHostAndFaultViolations) {
   EXPECT_TRUE(fields.count("topology.host_link_rate"));
   EXPECT_TRUE(fields.count("receivers"));
   EXPECT_TRUE(fields.count("host.rx_threads"));
-  // Cluster scripts address links by topology coordinates; the legacy
-  // `link=` index is rejected as unknown.
+  // Scripts address links by topology coordinates; `link=` is not a
+  // key of any run.
   EXPECT_TRUE(fields.count("faults[0].link"));
 }
 

@@ -28,7 +28,7 @@ using fault::parse_script;
 
 TEST(ScriptParser, ParsesTheFullGrammar) {
   const auto r = parse_script(
-      "mem.antagonist@5ms+2ms/10ms,cores=8; net.rate@12ms+1ms,link=access,gbps=25");
+      "mem.antagonist@5ms+2ms/10ms,cores=8; net.rate@12ms+1ms,gbps=25");
   ASSERT_TRUE(r.ok()) << (r.errors.empty() ? std::string() : r.errors[0]);
   ASSERT_EQ(r.script.events.size(), 2u);
 
@@ -42,7 +42,7 @@ TEST(ScriptParser, ParsesTheFullGrammar) {
   const fault::FaultEvent& b = r.script.events[1];
   EXPECT_EQ(b.kind, FaultKind::kNetRate);
   EXPECT_EQ(b.period, TimePs(0));  // one-shot
-  EXPECT_DOUBLE_EQ(b.params.at("link"), -1.0);  // "access" sugar
+  EXPECT_EQ(b.params.size(), 1u);  // no target: the access link
   EXPECT_DOUBLE_EQ(b.params.at("gbps"), 25.0);
 }
 
@@ -67,7 +67,7 @@ TEST(ScriptParser, SpecRoundTrips) {
   const auto r = parse_script(
       "iommu.storm@450us+20us,per_us=2;"
       "mem.antagonist@5ms+2ms/10ms,cores=8;"
-      "net.loss@100ns,link=1,prob=0.25");
+      "net.loss@100ns,host=1,prob=0.25");
   ASSERT_TRUE(r.ok());
   const auto again = parse_script(r.script.to_spec());
   ASSERT_TRUE(again.ok()) << (again.errors.empty() ? std::string() : again.errors[0]);
@@ -81,9 +81,10 @@ TEST(ScriptParser, AggregatesEveryErrorWithEntryPositions) {
       "net.loss@xyz;"                        // bad activation time
       "mem.antagonist@1ms,cores=8,cores=9;"  // duplicate parameter
       "net.rate@1ms,gbps;"                   // parameter without '='
-      "iommu.storm@1ms,per_us=fast");        // non-numeric value
+      "iommu.storm@1ms,per_us=fast;"         // non-numeric value
+      "net.loss@1ms,link=access");           // links have no symbolic names
   EXPECT_FALSE(r.ok());
-  ASSERT_EQ(r.errors.size(), 6u);
+  ASSERT_EQ(r.errors.size(), 7u);
   EXPECT_NE(r.errors[0].find("entry 1"), std::string::npos);
   EXPECT_NE(r.errors[0].find("unknown fault kind"), std::string::npos);
   EXPECT_NE(r.errors[1].find("missing '@"), std::string::npos);
@@ -92,6 +93,8 @@ TEST(ScriptParser, AggregatesEveryErrorWithEntryPositions) {
   EXPECT_NE(r.errors[4].find("key=value"), std::string::npos);
   EXPECT_NE(r.errors[5].find("non-numeric"), std::string::npos);
   EXPECT_NE(r.errors[5].find("entry 6"), std::string::npos);
+  EXPECT_NE(r.errors[6].find("parameter 'link' has non-numeric value 'access'"),
+            std::string::npos);
 }
 
 // -------------------------------------------------------- validation
@@ -148,7 +151,7 @@ TEST(Validation, AggregatesManyDistinctViolationClasses) {
 TEST(Validation, ChecksFaultScriptSemanticsPerEntry) {
   ExperimentConfig cfg = small_config();
   const auto r = parse_script(
-      "net.rate@1ms,link=99,gbps=25;"       // link out of range (4 senders)
+      "net.rate@1ms,host=99,gbps=25;"       // host out of range (5 hosts)
       "net.loss@1ms,prob=1.5;"              // probability > 1
       "iommu.storm@1ms,per_us=1e7;"         // storm faster than the engine tick
       "host.deschedule@1ms,threads=5;"      // more threads than rx_threads=2
@@ -162,7 +165,7 @@ TEST(Validation, ChecksFaultScriptSemanticsPerEntry) {
   const auto violations = validate(cfg);
   std::set<std::string> fields;
   for (const auto& v : violations) fields.insert(v.field);
-  EXPECT_TRUE(fields.count("faults[0].link"));
+  EXPECT_TRUE(fields.count("faults[0].host"));
   EXPECT_TRUE(fields.count("faults[1].prob"));
   EXPECT_TRUE(fields.count("faults[2].per_us"));
   EXPECT_TRUE(fields.count("faults[3].threads"));
@@ -171,6 +174,51 @@ TEST(Validation, ChecksFaultScriptSemanticsPerEntry) {
   EXPECT_TRUE(fields.count("faults[6].period"));
   EXPECT_TRUE(fields.count("faults[7].core"));
   EXPECT_GE(fields.size(), 8u);
+}
+
+TEST(Validation, SingleHostNetFaultsTakeTopologyTargets) {
+  // 4 senders: single_host_topology() is one leaf, one spine, hosts
+  // 0..4 with host 0 the receiver.
+  ExperimentConfig cfg = small_config();
+  cfg.faults = parse_script(
+                   "net.link_down@1ms,link=3;"          // no such key in any run
+                   "net.rate@1ms,host=5,gbps=25;"       // host out of range
+                   "net.loss@1ms,leaf=1,spine=0")       // leaf out of range
+                   .script;
+  std::set<std::string> fields;
+  for (const auto& v : validate(cfg)) fields.insert(v.field);
+  EXPECT_TRUE(fields.count("faults[0].link"));
+  EXPECT_TRUE(fields.count("faults[1].host"));
+  EXPECT_TRUE(fields.count("faults[2].leaf"));
+  EXPECT_EQ(fields.size(), 3u);
+
+  cfg.faults = parse_script(
+                   "net.link_down@1ms,host=4;"
+                   "net.rate@1ms,leaf=0,spine=0,gbps=25;"
+                   "net.loss@1ms,prob=0.1")
+                   .script;
+  EXPECT_TRUE(validate(cfg).empty()) << describe(validate(cfg));
+}
+
+TEST(Validation, RejectsFabricValuesTheClusterRejects) {
+  ExperimentConfig cfg = small_config();
+  cfg.fabric.switch_buffer = Bytes(4000);  // below one 4452-byte data packet
+  cfg.fabric.propagation = TimePs::from_us(-3);
+  std::set<std::string> fields;
+  for (const auto& v : validate(cfg)) fields.insert(v.field);
+  EXPECT_TRUE(fields.count("fabric.switch_buffer"));
+  EXPECT_TRUE(fields.count("fabric.propagation"));
+
+  // The cluster rejects the same ports.
+  std::set<std::string> cluster_fields;
+  for (const auto& v : validate(degenerate_cluster(cfg))) cluster_fields.insert(v.field);
+  EXPECT_TRUE(cluster_fields.count("topology.edge_buffer"));
+  EXPECT_TRUE(cluster_fields.count("topology.edge_propagation"));
+
+  // One wire MTU of buffer and zero propagation are the bounds.
+  cfg.fabric.switch_buffer = cfg.wire.data_wire();
+  cfg.fabric.propagation = TimePs(0);
+  EXPECT_TRUE(validate(cfg).empty()) << describe(validate(cfg));
 }
 
 TEST(Validation, SweepRejectsInvalidPointsUpFront) {
@@ -269,7 +317,7 @@ TEST(FaultExperiment, EveryInjectorRegistersAndExercisesItsProbe) {
   cfg.trace.enabled = true;
   const auto r = parse_script(
       "net.link_down@250us+20us;"
-      "net.rate@280us+20us,link=access,gbps=25;"
+      "net.rate@280us+20us,gbps=25;"
       "net.loss@310us+20us,prob=0.05;"
       "nic.credit_stall@340us+10us;"
       "nic.buffer_squeeze@360us+20us,kb=64;"
@@ -343,6 +391,36 @@ TEST(FaultExperiment, AntagonistBurstDisturbsTheHost) {
   EXPECT_GT(m.memory.by_class_gbytes_per_sec[ant], 1.0);
   EXPECT_GT(m.pcie_write_buffer_stalls, base.pcie_write_buffer_stalls);
   EXPECT_LT(m.app_throughput_gbps, base.app_throughput_gbps);
+}
+
+// --------------------------------------------- single-host targeting
+
+TEST(FaultExperiment, HostTargetsReachSingleHostUplinks) {
+  Experiment base_exp(small_config());
+  const Metrics base = base_exp.run();
+  EXPECT_EQ(base.fabric_drops, 0);
+
+  // host=2 is sender 1's uplink: what it sends in the window drops at
+  // its own port.
+  ExperimentConfig cfg = small_config();
+  cfg.faults = parse_script("net.link_down@300us+100us,host=2").script;
+  ASSERT_TRUE(validate(cfg).empty()) << describe(validate(cfg));
+  Experiment sender(cfg);
+  const Metrics ms = sender.run();
+  EXPECT_EQ(ms.fault_windows, 1);
+  EXPECT_GT(ms.fabric_drops, 0);
+  EXPECT_EQ(ms.run_status, RunStatus::kOk);
+
+  // host=0 is the receiver's uplink, which carries its ACKs and read
+  // requests: senders time out (the RTO floor is 1 ms) and retransmit.
+  cfg.measure = TimePs::from_ms(2);
+  cfg.faults = parse_script("net.link_down@300us+100us,host=0").script;
+  ASSERT_TRUE(validate(cfg).empty()) << describe(validate(cfg));
+  Experiment receiver(cfg);
+  const Metrics mr = receiver.run();
+  EXPECT_GT(mr.fabric_drops, 0);
+  EXPECT_GT(mr.retransmits, 0);
+  EXPECT_EQ(mr.run_status, RunStatus::kOk);
 }
 
 // ------------------------------------------------- cluster targeting

@@ -1,13 +1,13 @@
 // Tests for the fabric: wire format math, link serialization and
-// queueing, tail drops, end-to-end fabric routing/timing, and the
-// config-driven Clos topology (routing, ECMP determinism, drop
-// accounting).
+// queueing, tail drops, and the config-driven Clos topology (routing,
+// timing, ECMP determinism, drop accounting), including the one-leaf
+// case the single-host testbed runs on.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <vector>
 
-#include "net/fabric.h"
 #include "net/link.h"
 #include "net/packet.h"
 #include "net/topology.h"
@@ -81,88 +81,6 @@ TEST(QueuedLink, OccupancyReturnsToZero) {
   EXPECT_EQ(link.queued().count(), 0);
 }
 
-struct FabricHarness {
-  sim::Simulator sim;
-  FabricParams params;
-  std::vector<Packet> at_receiver;
-  std::vector<std::pair<int, Packet>> at_senders;
-  std::unique_ptr<Fabric> fabric;
-
-  explicit FabricHarness(int senders = 4) {
-    params.num_senders = senders;
-    fabric = std::make_unique<Fabric>(
-        sim, params, [this](Packet p) { at_receiver.push_back(std::move(p)); },
-        [this](int i, Packet p) { at_senders.emplace_back(i, std::move(p)); });
-  }
-};
-
-TEST(Fabric, DataPathSenderToReceiver) {
-  FabricHarness h;
-  ASSERT_TRUE(h.fabric->send_from_sender(2, make_data(7, 0, Bytes(4452))));
-  h.sim.run_until(20_us);
-  ASSERT_EQ(h.at_receiver.size(), 1u);
-  EXPECT_EQ(h.at_receiver[0].flow, 7);
-}
-
-TEST(Fabric, EndToEndLatencyIsTwoHops) {
-  FabricHarness h;
-  TimePs arrival{};
-  h.fabric = std::make_unique<Fabric>(
-      h.sim, h.params, [&](Packet) { arrival = h.sim.now(); }, [](int, Packet) {});
-  h.fabric->send_from_sender(0, make_data(0, 0, Bytes(4452)));
-  h.sim.run_until(20_us);
-  EXPECT_NEAR(arrival.us(), 2.356 + 2.356, 0.05);
-}
-
-TEST(Fabric, ReversePathRoutesBySenderField) {
-  FabricHarness h;
-  Packet ack;
-  ack.kind = PacketKind::kAck;
-  ack.sender = 3;
-  ack.wire = Bytes(64);
-  ASSERT_TRUE(h.fabric->send_from_receiver(ack));
-  h.sim.run_until(20_us);
-  ASSERT_EQ(h.at_senders.size(), 1u);
-  EXPECT_EQ(h.at_senders[0].first, 3);
-  EXPECT_EQ(h.at_senders[0].second.kind, PacketKind::kAck);
-}
-
-TEST(Fabric, ManySendersConvergeOnAccessLink) {
-  FabricHarness h(8);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(h.fabric->send_from_sender(i, make_data(i, 0, Bytes(4452))));
-  }
-  h.sim.run_until(50_us);
-  EXPECT_EQ(h.at_receiver.size(), 8u);
-  EXPECT_EQ(h.fabric->fabric_drops(), 0);
-}
-
-TEST(Fabric, BaseRttAboutSixteenMicroseconds) {
-  // Data forward (2 hops) + ACK reverse (2 hops) with 2us edges:
-  // ~8us propagation + serializations each way -> ~9us round trip at
-  // the packet level; with NIC/host processing the experiment RTT is
-  // ~20us, matching the paper's example.
-  FabricHarness h;
-  TimePs data_arrival{}, ack_arrival{};
-  h.fabric = std::make_unique<Fabric>(
-      h.sim, h.params,
-      [&](Packet p) {
-        data_arrival = h.sim.now();
-        Packet ack;
-        ack.kind = PacketKind::kAck;
-        ack.sender = p.sender;
-        ack.wire = Bytes(64);
-        h.fabric->send_from_receiver(std::move(ack));
-      },
-      [&](int, Packet) { ack_arrival = h.sim.now(); });
-  Packet p = make_data(0, 0, Bytes(4452));
-  p.sender = 0;
-  h.fabric->send_from_sender(0, std::move(p));
-  h.sim.run_until(50_us);
-  EXPECT_GT(data_arrival, TimePs(0));
-  EXPECT_NEAR(ack_arrival.us(), 8.7, 0.5);
-}
-
 struct ClosHarness {
   sim::Simulator sim;
   TopologyConfig cfg;
@@ -226,6 +144,67 @@ TEST(ClosFabric, IntraLeafLatencyMatchesLegacyTwoHops) {
   h.fabric->send_from_host(1, h.data(1, 0, 0));
   h.sim.run_until(20_us);
   EXPECT_NEAR(arrival.us(), 2.356 + 2.356, 0.05);
+}
+
+// The single-host testbed's shape (core/config.h,
+// single_host_topology): one leaf, one spine, host 0 the receiver and
+// host 1+i sender i.
+TopologyConfig one_leaf(int senders) {
+  TopologyConfig cfg;
+  cfg.leaves = 1;
+  cfg.spines = 1;
+  cfg.hosts_per_leaf = senders + 1;
+  return cfg;
+}
+
+TEST(ClosFabric, ReversePathRoutesByDst) {
+  ClosHarness h(one_leaf(4));
+  Packet ack;
+  ack.kind = PacketKind::kAck;
+  ack.sender = 3;
+  ack.dst = 4;  // sender 3
+  ack.wire = Bytes(64);
+  ASSERT_TRUE(h.fabric->send_from_host(0, ack));
+  h.sim.run_until(20_us);
+  ASSERT_EQ(h.delivered.size(), 1u);
+  EXPECT_EQ(h.delivered[0].first, 4);
+  EXPECT_EQ(h.delivered[0].second.kind, PacketKind::kAck);
+}
+
+TEST(ClosFabric, ManySendersConvergeOnReceiverDownlink) {
+  ClosHarness h(one_leaf(8));
+  for (int i = 1; i <= 8; ++i) ASSERT_TRUE(h.fabric->send_from_host(i, h.data(i, 0, i)));
+  h.sim.run_until(50_us);
+  ASSERT_EQ(h.delivered.size(), 8u);
+  for (const auto& [host, p] : h.delivered) EXPECT_EQ(host, 0);
+  EXPECT_EQ(h.fabric->fabric_drops(), 0);
+}
+
+TEST(ClosFabric, DataAckRoundTripIsAboutNineMicroseconds) {
+  // Data forward (2 hops) + ACK reverse (2 hops) with 2us edges: ~8us
+  // propagation plus serializations -> ~8.7us at the packet level;
+  // with NIC/host processing the experiment RTT is ~20us, matching the
+  // paper's example.
+  ClosHarness h(one_leaf(4));
+  TimePs data_arrival{};
+  TimePs ack_arrival{};
+  h.fabric = std::make_unique<ClosFabric>(h.sim, h.cfg, [&](int host, Packet p) {
+    if (host != 0) {
+      ack_arrival = h.sim.now();
+      return;
+    }
+    data_arrival = h.sim.now();
+    Packet ack;
+    ack.kind = PacketKind::kAck;
+    ack.sender = p.sender;
+    ack.dst = p.sender;
+    ack.wire = Bytes(64);
+    h.fabric->send_from_host(0, std::move(ack));
+  });
+  h.fabric->send_from_host(1, h.data(1, 0, 0));
+  h.sim.run_until(50_us);
+  EXPECT_GT(data_arrival, TimePs(0));
+  EXPECT_NEAR(ack_arrival.us(), 8.7, 0.5);
 }
 
 TEST(ClosFabric, EcmpIsDeterministicAcrossInstancesAndSpreadsFlows) {
