@@ -40,6 +40,7 @@ constexpr const char* kRuleIds[] = {
     "docs-run-status",
     "hot-heap-alloc",
     "hot-marker-missing",
+    "hot-node-container",
     "hot-std-function",
     "hot-vector-growth",
     "layer-dag",

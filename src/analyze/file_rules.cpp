@@ -152,6 +152,7 @@ class FileRules {
       hot_std_function();
       hot_heap_alloc();
       hot_vector_growth();
+      hot_node_container();
     }
     layer_dag();
     if (!sf_.path.starts_with("src/")) return;
@@ -359,6 +360,34 @@ class FileRules {
                  ".push_back' on a std::vector with no reserve() in this file: growth "
                  "reallocates on the hot path -- reserve, or suppress if growth is "
                  "amortized/startup-only");
+    }
+  }
+
+  // A variable or member declared as `std::[pmr::]C<...> name` with C a
+  // node-based container (or deque, which allocates a chunk every few
+  // hundred elements); references and pointers own no nodes.
+  void hot_node_container() {
+    for (std::size_t i = 0; i < t_.size(); ++i) {
+      if (!seq(t_, i, {{"std"}, {"::"}})) continue;
+      std::size_t k = i + 2;
+      if (seq(t_, k, {{"pmr"}, {"::"}})) k += 2;
+      if (!seq(t_, k,
+               {{"map", "multimap", "set", "multiset", "unordered_map", "unordered_set",
+                 "unordered_multimap", "unordered_multiset", "deque", "list"},
+                {"<"}})) {
+        continue;
+      }
+      const std::size_t j = past_template_args(t_, k);
+      if (j + 1 >= t_.size()) continue;
+      const Token& name = t_[j];
+      if (name.kind != Token::Kind::kIdent || is_cxx_keyword(name.text) ||
+          !is_one_of(t_[j + 1].text, {";", "=", "{"})) {
+        continue;
+      }
+      report(t_[i], "hot-node-container",
+             "'" + name.text + "' is a std::" + t_[k].text +
+                 ": it allocates per insert (a node, or a deque chunk) on the hot path -- use "
+                 "Ring (common/ring.h) or a free-listed slab, or allow it with why it is cold");
     }
   }
 

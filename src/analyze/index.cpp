@@ -594,23 +594,27 @@ bool is_one_of(const std::string& s, std::initializer_list<const char*> opts) {
   return false;
 }
 
+std::size_t past_template_args(const std::vector<Token>& t, std::size_t i) {
+  int depth = 0;
+  std::size_t j = i + 1;
+  for (; j < t.size() && j < i + 120; ++j) {
+    if (t[j].text == "<") ++depth;
+    if (t[j].text == ">") --depth;
+    if (t[j].text == ">>") depth -= 2;
+    if (depth <= 0) break;
+    if (t[j].text == ";" || t[j].text == "{") break;
+  }
+  return j >= t.size() || depth > 0 ? t.size() : j + 1;
+}
+
 std::set<std::string> declared_vars(const std::vector<Token>& t,
                                     std::initializer_list<const char*> templates) {
   std::set<std::string> names;
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     if (t[i].kind != Token::Kind::kIdent || !is_one_of(t[i].text, templates)) continue;
     if (t[i + 1].text != "<") continue;
-    int depth = 0;
-    std::size_t j = i + 1;
-    for (; j < t.size() && j < i + 120; ++j) {
-      if (t[j].text == "<") ++depth;
-      if (t[j].text == ">") --depth;
-      if (t[j].text == ">>") depth -= 2;
-      if (depth <= 0) break;
-      if (t[j].text == ";" || t[j].text == "{") break;
-    }
-    if (j >= t.size() || depth > 0) continue;
-    ++j;  // past the closing >
+    std::size_t j = past_template_args(t, i);
+    if (j == t.size()) continue;
     while (j < t.size() && (t[j].text == "&" || t[j].text == "*" || t[j].text == "const")) ++j;
     if (j + 1 < t.size() && t[j].kind == Token::Kind::kIdent && !is_cxx_keyword(t[j].text) &&
         is_one_of(t[j + 1].text, {";", "=", "{", "("})) {

@@ -94,6 +94,11 @@ bool is_cxx_keyword(const std::string& word);
 /// True when `s` equals one of `opts`.
 bool is_one_of(const std::string& s, std::initializer_list<const char*> opts);
 
+/// For `t[i]` naming a template that `<` follows: the index of the
+/// token after the matching `>`, or t.size() when the arguments do not
+/// close within the statement.
+std::size_t past_template_args(const std::vector<Token>& t, std::size_t i);
+
 /// Names of the variables (members included) declared anywhere in `t`
 /// with one of `templates` as their type, `tmpl<...> [&*const] name`
 /// followed by ; = { or (.

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "net/packet.h"
@@ -42,7 +42,7 @@ class RxThread {
 
   /// Completion delivered by the NIC.
   void enqueue(net::Packet p, TimePs nic_arrival) {
-    queue_.emplace_back(std::move(p), nic_arrival);
+    queue_.push_back(Completion{std::move(p), nic_arrival});
     maybe_start();
   }
 
@@ -67,21 +67,27 @@ class RxThread {
     const auto cost = TimePs(static_cast<std::int64_t>(
         static_cast<double>(params_.per_packet_cost.ps()) * jitter));
     sim_.after(cost, [this] {
-      auto [pkt, arrival] = std::move(queue_.front());
+      const Completion done = queue_.front();
       queue_.pop_front();
       busy_ = false;
       ++processed_count_;
-      processed_(pkt, arrival);
+      processed_(done.pkt, done.nic_arrival);
       maybe_start();
     });
   }
+
+  /// A DMA-completed packet waiting for the thread.
+  struct Completion {
+    net::Packet pkt;
+    TimePs nic_arrival;
+  };
 
   sim::Simulator& sim_;
   int id_;
   RxThreadParams params_;
   Rng rng_;
   ProcessedFn processed_;
-  std::deque<std::pair<net::Packet, TimePs>> queue_;
+  Ring<Completion> queue_;
   bool busy_ = false;
   bool descheduled_ = false;
   std::int64_t processed_count_ = 0;

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -79,40 +78,55 @@ class IoPageTable {
  public:
   /// Registers a region of `size`, mapped with `page_size` leaves.
   /// Returns its id; base addresses are assigned by a bump allocator
-  /// aligned to the leaf size.
+  /// aligned to the leaf size, so regions are sorted by base.
   RegionId map_region(Bytes size, PageSize page_size) {
     const auto align = static_cast<Iova>(page_bytes(page_size).count());
     next_base_ = (next_base_ + align - 1) / align * align;
     Region r{next_base_, size, page_size};
     next_base_ += static_cast<Iova>(r.num_pages() * page_bytes(page_size).count());
+    const auto index = static_cast<std::int32_t>(regions_.size());
     // hicc-lint: allow(hot-vector-growth) -- region registration is
     // setup-time (loose mode pins once); never on the datapath.
-    regions_.push_back(r);
-    by_base_[r.base] = static_cast<std::int32_t>(regions_.size()) - 1;
+    regions_.push_back(Slot{r, true});
+    if (size.count() > 0) {
+      // Chunks up to this region's last byte that no earlier region
+      // reaches start their search here.
+      const Iova last = (r.base + static_cast<Iova>(size.count()) - 1) >> kChunkShift;
+      if (last >= first_region_.size()) first_region_.resize(last + 1, index);
+    }
     total_mapped_pages_ += r.num_pages();
-    return RegionId{static_cast<std::int32_t>(regions_.size()) - 1};
+    return RegionId{index};
   }
 
   /// Removes a region's mapping (strict-mode experiments). The region
   /// slot stays allocated; subsequent find() no longer returns it.
+  /// Unmapping an unmapped region does nothing.
   void unmap_region(RegionId id) {
-    const auto& r = regions_.at(static_cast<std::size_t>(id.index));
-    total_mapped_pages_ -= r.num_pages();
-    by_base_.erase(r.base);
+    Slot& s = regions_.at(static_cast<std::size_t>(id.index));
+    if (!s.mapped) return;
+    s.mapped = false;
+    total_mapped_pages_ -= s.region.num_pages();
   }
 
   [[nodiscard]] const Region& region(RegionId id) const {
-    return regions_.at(static_cast<std::size_t>(id.index));
+    return regions_.at(static_cast<std::size_t>(id.index)).region;
   }
 
-  /// Finds the mapped region containing `iova`, if any.
+  /// Finds the mapped region containing `iova`, if any. The 2 MiB
+  /// chunk directory names the first region that can contain it; the
+  /// scan past it only crosses the few regions sharing that chunk.
   [[nodiscard]] std::optional<Region> find(Iova iova) const {
-    auto it = by_base_.upper_bound(iova);
-    if (it == by_base_.begin()) return std::nullopt;
-    --it;
-    const Region& r = regions_[static_cast<std::size_t>(it->second)];
-    if (!r.contains(iova)) return std::nullopt;
-    return r;
+    const Iova chunk = iova >> kChunkShift;
+    if (chunk >= first_region_.size()) return std::nullopt;
+    for (auto i = static_cast<std::size_t>(first_region_[chunk]);
+         i < regions_.size() && regions_[i].region.base <= iova; ++i) {
+      const Slot& s = regions_[i];
+      if (s.region.contains(iova)) {
+        if (!s.mapped) break;
+        return s.region;
+      }
+    }
+    return std::nullopt;
   }
 
   /// IOVA rounded down to its page base (the IOTLB tag), given the
@@ -128,10 +142,19 @@ class IoPageTable {
   [[nodiscard]] std::size_t region_count() const { return regions_.size(); }
 
  private:
+  struct Slot {
+    Region region;
+    bool mapped = true;
+  };
+  /// log2 of the directory's chunk: one 2 MiB hugepage.
+  static constexpr int kChunkShift = 21;
+
   // IOVA 0 is left unmapped so a zero address is always a fault.
   Iova next_base_ = 1ull << 21;
-  std::vector<Region> regions_;
-  std::map<Iova, std::int32_t> by_base_;
+  std::vector<Slot> regions_;  // in id order, which is base order
+  /// Per 2 MiB chunk of IOVA space up to the highest mapped byte: the
+  /// first region whose end lies past the chunk's start.
+  std::vector<std::int32_t> first_region_;
   std::int64_t total_mapped_pages_ = 0;
 };
 

@@ -40,12 +40,15 @@ struct DdioParams {
 /// host (it knows what the NIC stack registered).
 class DdioModel {
  public:
-  DdioModel(DdioParams params, Rng rng) : params_(params), rng_(rng) {}
+  DdioModel(DdioParams params, Rng rng) : params_(params), rng_(rng) { refresh(); }
 
   [[nodiscard]] bool enabled() const { return params_.enabled; }
 
   /// Registered IO buffer bytes the NIC scatters DMA writes across.
-  void set_io_working_set(Bytes ws) { working_set_ = ws; }
+  void set_io_working_set(Bytes ws) {
+    working_set_ = ws;
+    refresh();
+  }
   [[nodiscard]] Bytes io_working_set() const { return working_set_; }
 
   /// LLC bytes available to inbound IO.
@@ -57,10 +60,7 @@ class DdioModel {
   }
 
   /// Probability that a DMA write lands on an LLC-resident line.
-  [[nodiscard]] double hit_fraction() const {
-    if (!params_.enabled || working_set_.count() <= 0) return 0.0;
-    return std::min(1.0, capacity() / working_set_);
-  }
+  [[nodiscard]] double hit_fraction() const { return hit_fraction_; }
 
   /// Samples one DMA write; true = absorbed by the LLC (no DRAM
   /// traffic, llc_write_latency applies).
@@ -69,14 +69,26 @@ class DdioModel {
   /// Fault hook (mem.ddio_squeeze): shrinks/restores the IO-way
   /// allotment mid-run, emulating CAT reconfiguration or a competing
   /// device claiming ways.
-  void set_ddio_ways(int ways) { params_.ddio_ways = ways; }
+  void set_ddio_ways(int ways) {
+    params_.ddio_ways = ways;
+    refresh();
+  }
 
   [[nodiscard]] const DdioParams& params() const { return params_; }
 
  private:
+  /// Recomputes the hit fraction, which only the working set and the
+  /// way allotment change -- not once per DMA write.
+  void refresh() {
+    hit_fraction_ = !params_.enabled || working_set_.count() <= 0
+                        ? 0.0
+                        : std::min(1.0, capacity() / working_set_);
+  }
+
   DdioParams params_;
   Rng rng_;
   Bytes working_set_{};
+  double hit_fraction_ = 0.0;
 };
 
 }  // namespace hicc::mem

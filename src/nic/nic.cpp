@@ -1,10 +1,26 @@
 // hicc-lint: hotpath -- steady state must stay allocation-free (DESIGN.md §8).
 #include "nic/nic.h"
 
-#include <cassert>
 #include <utility>
 
 namespace hicc::nic {
+
+namespace {
+/// Parks `value` in a free slot of `slab` and returns the slot. The
+/// slab grows only when no slot is free, so it reaches its high-water
+/// mark once and then recycles slots forever.
+template <typename T>
+std::int32_t park(std::vector<T>& slab, std::vector<std::int32_t>& free, T value) {
+  if (free.empty()) {
+    slab.push_back(std::move(value));
+    return static_cast<std::int32_t>(slab.size()) - 1;
+  }
+  const std::int32_t slot = free.back();
+  free.pop_back();
+  slab[static_cast<std::size_t>(slot)] = std::move(value);
+  return slot;
+}
+}  // namespace
 
 Nic::Nic(sim::Simulator& sim, pcie::PcieBus& pcie, iommu::Iommu& iommu, NicParams params,
          int num_threads, Bytes data_region_size, iommu::PageSize data_page,
@@ -151,9 +167,9 @@ void Nic::pump() {
   // Completion-queue writes have priority for credits: they unblock
   // host processing and are tiny.
   while (!cq_pending_.empty() && pcie_.can_send_write(params_.cq_entry_bytes)) {
-    const std::int64_t job_id = cq_pending_.front();
+    const std::int32_t slot = cq_pending_.front();
     cq_pending_.pop_front();
-    start_cq_write(job_id);
+    start_cq_write(slot);
   }
 
   for (;;) {
@@ -194,14 +210,13 @@ void Nic::pump() {
       const auto max_payload = pcie_.params().max_payload.count();
       job.tlps_total = static_cast<int>(
           (job.pkt.payload.count() + max_payload - 1) / max_payload);
-      // The job enters the retirement table before its first TLP goes
-      // out: with a credit pool smaller than one packet's TLP stream,
-      // early TLPs retire while later ones still wait for credits.
-      sending_job_ = next_job_id_++;
-      awaiting_retire_.emplace(sending_job_, std::move(job));
+      // The job takes its slot before its first TLP goes out: with a
+      // credit pool smaller than one packet's TLP stream, early TLPs
+      // retire while later ones still wait for credits.
+      sending_job_ = park(jobs_, free_jobs_, std::move(job));
     }
 
-    DmaJob& job = awaiting_retire_.at(sending_job_);
+    DmaJob& job = jobs_[static_cast<std::size_t>(sending_job_)];
     const auto max_payload = pcie_.params().max_payload;
     while (job.tlps_sent < job.tlps_total) {
       const Bytes remaining =
@@ -215,9 +230,9 @@ void Nic::pump() {
       const iommu::Iova iova =
           base + static_cast<iommu::Iova>(job.tlps_sent) * 256 % 4096;
       ++job.tlps_sent;
-      const std::int64_t job_id = sending_job_;
-      pcie_.send_write_tlp(iova, chunk, [this, job_id] {
-        on_payload_tlp_retired(job_id);
+      const std::int32_t slot = sending_job_;
+      pcie_.send_write_tlp(iova, chunk, [this, slot] {
+        on_payload_tlp_retired(slot);
       }, job.pre_translated);
     }
 
@@ -228,10 +243,8 @@ void Nic::pump() {
   }
 }
 
-void Nic::on_payload_tlp_retired(std::int64_t job_id) {
-  const auto it = awaiting_retire_.find(job_id);
-  assert(it != awaiting_retire_.end());
-  DmaJob& job = it->second;
+void Nic::on_payload_tlp_retired(std::int32_t slot) {
+  DmaJob& job = jobs_[static_cast<std::size_t>(slot)];
   ++job.tlps_retired;
   // tlps_retired == total implies every TLP was sent (a TLP cannot
   // retire before it is emitted), so the job is complete.
@@ -239,24 +252,21 @@ void Nic::on_payload_tlp_retired(std::int64_t job_id) {
   // Payload fully in memory: write the completion entry (credits
   // permitting; otherwise queue it with priority).
   if (pcie_.can_send_write(params_.cq_entry_bytes)) {
-    start_cq_write(job_id);
+    start_cq_write(slot);
   } else {
-    cq_pending_.push_back(job_id);
+    cq_pending_.push_back(slot);
   }
 }
 
-void Nic::start_cq_write(std::int64_t job_id) {
-  const auto it = awaiting_retire_.find(job_id);
-  assert(it != awaiting_retire_.end());
-  Queue& q = queues_[static_cast<std::size_t>(it->second.thread)];
+void Nic::start_cq_write(std::int32_t slot) {
+  Queue& q = queues_[static_cast<std::size_t>(jobs_[static_cast<std::size_t>(slot)].thread)];
   const iommu::Iova cq =
       control_page(q, params_.ring_pages, params_.cq_pages, q.cq_cursor++);
   ++stats_.cq_writes;
-  pcie_.send_write_tlp(cq, params_.cq_entry_bytes, [this, job_id] {
-    const auto jt = awaiting_retire_.find(job_id);
-    assert(jt != awaiting_retire_.end());
-    DmaJob job = std::move(jt->second);
-    awaiting_retire_.erase(jt);
+  pcie_.send_write_tlp(cq, params_.cq_entry_bytes, [this, slot] {
+    const DmaJob job = jobs_[static_cast<std::size_t>(slot)];
+    // hicc-lint: allow(hot-vector-growth) -- capacity == slab high-water mark
+    free_jobs_.push_back(slot);
     ++stats_.delivered;
     stats_.bytes_delivered += job.pkt.payload.count();
     if (params_.strict_invalidation) {
@@ -271,7 +281,7 @@ void Nic::start_cq_write(std::int64_t job_id) {
         dev_tlb_.invalidate(job.second_page);
       }
     }
-    if (cbs_.deliver) cbs_.deliver(job.thread, std::move(job.pkt), job.arrival);
+    if (cbs_.deliver) cbs_.deliver(job.thread, job.pkt, job.arrival);
   });
 }
 
@@ -283,17 +293,7 @@ void Nic::send_packet(net::Packet p, int thread) {
   const Bytes fetch = p.wire;
   // Park the packet in the stash; slots recycle, so steady-state Tx
   // never allocates and completions may finish in any order.
-  std::int32_t slot;
-  if (!tx_free_.empty()) {
-    slot = tx_free_.back();
-    tx_free_.pop_back();
-    tx_stash_[static_cast<std::size_t>(slot)] = std::move(p);
-  } else {
-    slot = static_cast<std::int32_t>(tx_stash_.size());
-    // hicc-lint: allow(hot-vector-growth) -- free-listed stash: grows to
-    // the Tx high-water mark once, then recycles slots forever.
-    tx_stash_.push_back(std::move(p));
-  }
+  const std::int32_t slot = park(tx_stash_, tx_free_, std::move(p));
   pcie_.send_read(ack, fetch, [this, slot] {
     net::Packet pkt = std::move(tx_stash_[static_cast<std::size_t>(slot)]);
     tx_free_.push_back(slot);  // hicc-lint: allow(hot-vector-growth) -- capacity == stash high-water mark

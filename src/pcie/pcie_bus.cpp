@@ -20,7 +20,7 @@ PcieBus::PcieBus(sim::Simulator& sim, mem::MemorySystem& mem, iommu::Iommu& iomm
     tracer->gauge("pcie.credits_in_use", "bytes",
                   [this] { return static_cast<double>(credits_in_use().count()); });
     tracer->gauge("pcie.rc_queue_depth", "tlps",
-                  [this] { return static_cast<double>(rc_queue_.size()); });
+                  [this] { return static_cast<double>(rc_arrived_); });
     tracer->gauge("pcie.write_buffer_bytes", "bytes",
                   [this] { return static_cast<double>(wb_used_.count()); });
     tracer->counter("pcie.translation_stalls", "stalls",
@@ -47,24 +47,19 @@ void PcieBus::send_read(iommu::Iova iova, Bytes payload, CompletionFn done) {
 }
 
 void PcieBus::transmit(Tlp tlp) {
-  // The per-TLP link closure must stay inside the event node's inline
-  // buffer -- a boxed fallback here would mean one heap allocation per
-  // simulated TLP.
-  static_assert(sizeof(Tlp) + sizeof(PcieBus*) <= 80,
-                "[this, tlp] closure must fit InlineAction's inline buffer");
   const Bytes wire =
       tlp.is_read ? params_.tlp_overhead : params_.tlp_wire_bytes(tlp.payload);
   const TimePs start = std::max(link_free_at_, sim_.now());
   link_free_at_ = start + params_.link_rate().time_to_send(wire);
-  sim_.at(link_free_at_ + params_.link_latency,
-          [this, tlp = std::move(tlp)]() mutable {
-            rc_queue_.push_back(std::move(tlp));
-            pump_rc();
-          });
+  rc_queue_.push_back(std::move(tlp));
+  sim_.at(link_free_at_ + params_.link_latency, [this] {
+    ++rc_arrived_;
+    pump_rc();
+  });
 }
 
 void PcieBus::pump_rc() {
-  if (rc_busy_ || rc_queue_.empty()) return;
+  if (rc_busy_ || rc_arrived_ == 0) return;
   rc_busy_ = true;
   const Tlp& head = rc_queue_.front();
   if (head.pre_translated) {
@@ -88,13 +83,14 @@ void PcieBus::pump_rc() {
 }
 
 void PcieBus::finish_translation() {
-  assert(rc_busy_ && !rc_queue_.empty());
+  assert(rc_busy_ && rc_arrived_ > 0);
   Tlp& head = rc_queue_.front();
   if (head.is_read) {
     stats_.bytes_read += head.payload.count();
     const TimePs lat = mem_.request(mem::MemClass::kNicDma, head.payload, /*is_read=*/true);
     auto done = std::move(head.done);
     rc_queue_.pop_front();
+    --rc_arrived_;
     rc_busy_ = false;
     // Completion returns over the upstream link.
     sim_.after(lat + params_.link_latency, std::move(done));
@@ -105,7 +101,7 @@ void PcieBus::finish_translation() {
 }
 
 void PcieBus::try_commit_write() {
-  assert(rc_busy_ && !rc_queue_.empty());
+  assert(rc_busy_ && rc_arrived_ > 0);
   Tlp& head = rc_queue_.front();
   if (wb_used_ + head.payload > params_.write_buffer_bytes) {
     // Memory is not draining fast enough: park until a write retires.
@@ -119,6 +115,7 @@ void PcieBus::try_commit_write() {
   const Bytes payload = head.payload;
   auto done = std::move(head.done);
   rc_queue_.pop_front();
+  --rc_arrived_;
   rc_busy_ = false;
 
   // The TLP has left the receive queue: its flow-control credits are

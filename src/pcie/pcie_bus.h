@@ -28,8 +28,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "common/ring.h"
 #include "common/units.h"
 #include "iommu/iommu.h"
 #include "mem/ddio.h"
@@ -59,7 +59,7 @@ class PcieBus {
  public:
   /// Completion callbacks ride the per-TLP hot path; inline storage
   /// keeps them allocation-free (the NIC captures at most
-  /// `[this, job_id]`-sized state).
+  /// `[this, slot]`-sized state).
   using CompletionFn = sim::InlineCallback<void()>;
 
   /// `tracer`, when non-null, registers the `pcie.*` probes (all
@@ -107,7 +107,8 @@ class PcieBus {
   [[nodiscard]] Bytes credits_free() const { return credits_free_; }
   [[nodiscard]] Bytes credits_in_use() const { return params_.credit_bytes - credits_free_; }
   [[nodiscard]] Bytes write_buffer_used() const { return wb_used_; }
-  [[nodiscard]] std::size_t rc_queue_depth() const { return rc_queue_.size(); }
+  /// TLPs that have reached the root complex and not yet left it.
+  [[nodiscard]] std::size_t rc_queue_depth() const { return rc_arrived_; }
   [[nodiscard]] const PcieStats& stats() const { return stats_; }
 
  private:
@@ -119,8 +120,8 @@ class PcieBus {
     CompletionFn done;
   };
 
-  /// Places a TLP on the downstream link; it joins the RC queue after
-  /// serialization + propagation.
+  /// Places a TLP on the downstream link; it reaches the RC queue
+  /// after serialization + propagation.
   void transmit(Tlp tlp);
   /// Starts processing the RC queue head if idle.
   void pump_rc();
@@ -138,7 +139,11 @@ class PcieBus {
   Bytes credits_free_;
   bool credits_frozen_ = false;
   TimePs link_free_at_{};
-  std::deque<Tlp> rc_queue_;
+  /// Every TLP on the link or in the RC, in transmit order. Arrival
+  /// times strictly increase, so the link is FIFO: the first
+  /// `rc_arrived_` entries are the RC queue and the rest are in flight.
+  Ring<Tlp> rc_queue_;
+  std::size_t rc_arrived_ = 0;
   bool rc_busy_ = false;
   bool head_waiting_wb_ = false;
   Bytes wb_used_{};

@@ -13,7 +13,7 @@ constexpr TimePs kDefaultSrtt = TimePs::from_us(20);
 
 SenderFlow::SenderFlow(sim::Simulator& sim, std::int32_t flow_id, std::int32_t sender_id,
                        const net::WireFormat& wire, std::unique_ptr<CongestionControl> cc,
-                       SendFn send, Rng rng)
+                       SendFn send, Rng rng, std::pmr::memory_resource* nodes)
     : sim_(sim),
       flow_id_(flow_id),
       sender_id_(sender_id),
@@ -21,6 +21,7 @@ SenderFlow::SenderFlow(sim::Simulator& sim, std::int32_t flow_id, std::int32_t s
       cc_(std::move(cc)),
       send_(std::move(send)),
       rng_(rng),
+      outstanding_(nodes),
       rto_task_(sim, kRtoScanPeriod, [this] { check_rto(); }) {}
 
 void SenderFlow::enqueue_packets(std::int64_t n) {

@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <memory_resource>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -37,9 +38,12 @@ class SenderFlow {
   /// fabric dropped it at enqueue (sender uplink full).
   using SendFn = std::function<bool(net::Packet)>;
 
+  /// `nodes` supplies the SACK scoreboard's map nodes; it must
+  /// outlive the flow.
   SenderFlow(sim::Simulator& sim, std::int32_t flow_id, std::int32_t sender_id,
              const net::WireFormat& wire, std::unique_ptr<CongestionControl> cc,
-             SendFn send, Rng rng);
+             SendFn send, Rng rng,
+             std::pmr::memory_resource* nodes = std::pmr::get_default_resource());
 
   SenderFlow(const SenderFlow&) = delete;
   SenderFlow& operator=(const SenderFlow&) = delete;
@@ -78,8 +82,10 @@ class SenderFlow {
 
   std::int64_t next_seq_ = 0;
   std::int64_t pending_new_ = 0;
-  /// seq -> time of the most recent transmission.
-  std::map<std::int64_t, TimePs> outstanding_;
+  /// seq -> time of the most recent transmission. One node per packet
+  /// in flight, drawn from `nodes` so the steady state reuses freed
+  /// nodes instead of reaching operator new.
+  std::pmr::map<std::int64_t, TimePs> outstanding_;
   std::int64_t highest_acked_ = -1;
   TimePs srtt_{};
   TimePs next_pace_at_{};

@@ -9,8 +9,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <map>
+#include <memory>
+#include <memory_resource>
 #include <utility>
 
 #include "net/packet.h"
@@ -31,7 +32,7 @@ class SenderHost {
   /// Creates the sender side of flow `flow_id` with controller `cc`.
   SenderFlow& add_flow(std::int32_t flow_id, std::unique_ptr<CongestionControl> cc) {
     auto flow = std::make_unique<SenderFlow>(sim_, flow_id, id_, wire_, std::move(cc),
-                                             send_, rng_.fork());
+                                             send_, rng_.fork(), &scoreboard_nodes_);
     auto [it, inserted] = flows_.emplace(flow_id, std::move(flow));
     return *it->second;
   }
@@ -102,6 +103,15 @@ class SenderHost {
   SenderFlow::SendFn send_;
   Rng rng_;
   FlowFactory factory_;
+  /// Every flow's SACK-scoreboard nodes. A node freed by an ACK is
+  /// reused by the next send, so steady-state traffic allocates
+  /// nothing. No lock: a host and its flows live on one partition.
+  /// Pools stop at 64-byte blocks, which hold a map node (48 bytes in
+  /// libstdc++); fewer pools make the resource cheaper to build, and
+  /// tests/alloc_test.cpp catches nodes that outgrow them. Declared
+  /// before `flows_` so it outlives them.
+  std::pmr::unsynchronized_pool_resource scoreboard_nodes_{
+      std::pmr::pool_options{.max_blocks_per_chunk = 0, .largest_required_pool_block = 64}};
   std::map<std::int32_t, std::unique_ptr<SenderFlow>> flows_;
 };
 

@@ -255,6 +255,20 @@ TEST(AnalyzeFileRules, EveryRuleHasAPositiveAndASuppressedTwin) {
   }
 }
 
+// hot-node-container: node-based and deque members of a hotpath file,
+// pmr included, next to an allowed twin, a reference, a vector, a
+// function and an unmarked file that must all stay quiet.
+TEST(AnalyzeFileRules, NodeContainerFixtureMatchesGolden) {
+  Result res = run(fixture_opts("node"));
+  const std::string out = format_text(res);
+  EXPECT_EQ(out, read_file(kFixtures + "/node/expected.txt"));
+  for (const char* quiet : {"registry", "view", "slab", "snapshot", "per_port"}) {
+    EXPECT_EQ(out.find(std::string("'") + quiet + "'"), std::string::npos) << quiet;
+  }
+  EXPECT_EQ(res.stats.suppressions_used, 1);
+  EXPECT_TRUE(res.failed);
+}
+
 TEST(AnalyzeFileRules, DiagnosticsCarryFileLineColAndRule) {
   const std::string out = format_text(run(fixture_opts("lint", "src/net/determinism_bad.h")));
   EXPECT_NE(out.find("src/net/determinism_bad.h:14:12: det-wallclock: "), std::string::npos)
@@ -279,7 +293,7 @@ TEST(AnalyzeReport, JsonShapeIsDeterministic) {
 
 TEST(AnalyzeReport, RuleCatalogIsSorted) {
   std::vector<std::string> ids = rule_ids();
-  EXPECT_EQ(ids.size(), 23u);
+  EXPECT_EQ(ids.size(), 24u);
   EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
   std::set<std::string> families;
   for (const std::string& id : ids) families.insert(id.substr(0, id.find('-')));

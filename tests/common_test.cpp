@@ -1,5 +1,5 @@
 // Unit tests for the common foundation: units, RNG, statistics, tables,
-// round-trip double formatting.
+// round-trip double formatting, the Ring FIFO.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -7,20 +7,95 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "common/fmt.h"
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "fmt_reference.h"
+#include "sim/inline_action.h"
 
 namespace hicc {
 namespace {
 
 using namespace hicc::literals;
+
+// ----------------------------------------------------------------- Ring
+
+// Move-only elements (the datapath queues hold InlineCallbacks); each
+// returns the order it was pushed in.
+using Job = sim::InlineCallback<int()>;
+
+TEST(Ring, GrowsWhileWrappedKeepingFifoOrder) {
+  Ring<Job> ring;
+  int pushed = 0;
+  int popped = 0;
+  const auto push = [&] {
+    const int n = pushed++;
+    ring.push_back(Job([n] { return n; }));
+  };
+  const auto pop = [&] {
+    ASSERT_FALSE(ring.empty());
+    EXPECT_EQ(ring.front()(), popped++);
+    ring.pop_front();
+  };
+  for (int i = 0; i < 16; ++i) push();
+  ASSERT_EQ(ring.capacity(), 16u);
+  for (int i = 0; i < 10; ++i) pop();
+  for (int i = 0; i < 10; ++i) push();  // the tail wraps past slot 15
+  ASSERT_EQ(ring.size(), 16u);
+  ASSERT_EQ(ring.capacity(), 16u);
+
+  push();  // full and wrapped: grows, unwrapping into the new buffer
+  EXPECT_EQ(ring.capacity(), 32u);
+  ASSERT_EQ(ring.size(), 17u);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i](), popped + static_cast<int>(i));
+  }
+  for (int i = 0; i < 40; ++i) {  // wrap the grown buffer too
+    push();
+    pop();
+  }
+  while (!ring.empty()) pop();
+  EXPECT_EQ(popped, pushed);
+  EXPECT_EQ(ring.capacity(), 32u);
+}
+
+TEST(Ring, StaysAtItsHighWaterMark) {
+  Ring<int> ring;
+  for (int i = 0; i < 100; ++i) ring.push_back(i);
+  const std::size_t cap = ring.capacity();
+  EXPECT_EQ(cap, 128u);
+  for (int i = 0; i < 10'000; ++i) {
+    ring.pop_front();
+    ring.push_back(i);
+  }
+  EXPECT_EQ(ring.capacity(), cap);
+  EXPECT_EQ(ring.size(), 100u);
+  EXPECT_EQ(ring.front(), 9'900);
+}
+
+TEST(Ring, DestroysElementsOnPopClearAndDestruction) {
+  const auto token = std::make_shared<int>(0);
+  {
+    Ring<Job> ring;
+    for (int i = 0; i < 20; ++i) ring.push_back(Job([token] { return *token; }));
+    EXPECT_EQ(token.use_count(), 21);
+    ring.pop_front();
+    EXPECT_EQ(token.use_count(), 20);
+    ring.clear();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_TRUE(ring.empty());
+    for (int i = 0; i < 5; ++i) ring.push_back(Job([token] { return *token; }));
+    EXPECT_EQ(token.use_count(), 6);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
 
 // ---------------------------------------------------------------- units
 

@@ -4,6 +4,8 @@
 // drives Figures 3-5.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -134,6 +136,73 @@ TEST(PageTable, TotalMappedPagesTracksMapUnmap) {
   EXPECT_EQ(t.total_mapped_pages(), 6 + 3072);
   t.unmap_region(a);
   EXPECT_EQ(t.total_mapped_pages(), 3072);
+}
+
+TEST(PageTable, UnmapTwiceIsANoOp) {
+  IoPageTable t;
+  const auto a = t.map_region(Bytes::mib(12), PageSize::k2M);  // 6 pages
+  t.map_region(Bytes::mib(12), PageSize::k4K);                 // 3072 pages
+  t.unmap_region(a);
+  t.unmap_region(a);
+  EXPECT_EQ(t.total_mapped_pages(), 3072);
+  EXPECT_FALSE(t.find(t.region(a).base).has_value());
+}
+
+TEST(PageTable, FindMatchesLinearScan) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    IoPageTable t;
+    std::vector<RegionId> ids;
+    std::vector<bool> mapped;
+    const int regions = 1 + static_cast<int>(rng.below(40));
+    for (int i = 0; i < regions; ++i) {
+      const PageSize ps = rng.chance(0.5) ? PageSize::k4K : PageSize::k2M;
+      // Anywhere from empty to three pages, rarely a page multiple.
+      const auto max = static_cast<std::uint64_t>(3 * page_bytes(ps).count());
+      ids.push_back(t.map_region(Bytes(static_cast<std::int64_t>(rng.below(max + 1))), ps));
+      mapped.push_back(true);
+    }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (rng.chance(0.25)) {
+        t.unmap_region(ids[i]);
+        mapped[i] = false;
+      }
+    }
+    const auto reference = [&](Iova a) -> std::optional<Region> {
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (mapped[i] && t.region(ids[i]).contains(a)) return t.region(ids[i]);
+      }
+      return std::nullopt;
+    };
+
+    // Before the first region, then around every region: its first and
+    // last byte, one past it (often an alignment gap), and the padded
+    // end the bump allocator moved on from.
+    std::vector<Iova> probes = {0, 1, (1ull << 21) - 1};
+    Iova top = 0;
+    for (const RegionId id : ids) {
+      const Region& r = t.region(id);
+      const auto end = r.base + static_cast<Iova>(r.size.count());
+      const auto padded =
+          r.base + static_cast<Iova>(r.num_pages() * page_bytes(r.page_size).count());
+      const Iova middle = r.base + static_cast<Iova>(r.size.count() / 2);
+      for (const Iova a : {r.base - 1, r.base, middle, end - 1, end, end + 1, padded - 1, padded}) {
+        probes.push_back(a);
+      }
+      top = std::max(top, padded);
+    }
+    for (int i = 0; i < 2000; ++i) probes.push_back(rng.below(top + (4ull << 20)));
+
+    for (const Iova a : probes) {
+      const auto got = t.find(a);
+      const auto want = reference(a);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "seed " << seed << " iova " << a;
+      if (got) {
+        EXPECT_EQ(got->base, want->base);
+        EXPECT_EQ(got->size, want->size);
+      }
+    }
+  }
 }
 
 TEST(PageTable, PageIovaAndPageBase) {

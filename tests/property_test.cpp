@@ -46,12 +46,15 @@ class ReferenceLru {
     return true;
   }
 
-  void insert(std::uint64_t key) {
+  /// Returns true when the insert evicted another key.
+  bool insert(std::uint64_t key) {
     auto& l = lists_[set_of(key)];
     const auto it = std::find(l.begin(), l.end(), key);
     if (it != l.end()) l.erase(it);
     l.push_front(key);
-    if (l.size() > static_cast<std::size_t>(ways_)) l.pop_back();
+    if (l.size() <= static_cast<std::size_t>(ways_)) return false;
+    l.pop_back();
+    return true;
   }
 
   bool invalidate(std::uint64_t key) {
@@ -60,6 +63,21 @@ class ReferenceLru {
     if (it == l.end()) return false;
     l.erase(it);
     return true;
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t key) const {
+    const auto& l = lists_[set_of(key)];
+    return std::find(l.begin(), l.end(), key) != l.end();
+  }
+
+  [[nodiscard]] int size() const {
+    std::size_t n = 0;
+    for (const auto& l : lists_) n += l.size();
+    return static_cast<int>(n);
+  }
+
+  void clear() {
+    for (auto& l : lists_) l.clear();
   }
 
  private:
@@ -73,24 +91,35 @@ class ReferenceLru {
 
 TEST_P(LruGeometry, MatchesReferenceModelOnRandomTrace) {
   const auto [sets, ways] = GetParam();
-  iommu::LruCache<std::uint64_t> cache(sets, ways);
-  ReferenceLru ref(sets, ways);
-  Rng rng(static_cast<std::uint64_t>(sets * 1000 + ways));
-  const std::uint64_t key_space = static_cast<std::uint64_t>(sets * ways) * 3;
+  // Dense keys, then page-aligned ones (IOTLB tags at 4 KiB and 2 MiB
+  // strides), which the cache's index must spread as well.
+  const std::uint64_t strides[] = {1, 4096, std::uint64_t{2} << 20};
+  for (const std::uint64_t stride : strides) {
+    iommu::LruCache<std::uint64_t> cache(sets, ways);
+    ReferenceLru ref(sets, ways);
+    Rng rng(static_cast<std::uint64_t>(sets * 1000 + ways));
+    const std::uint64_t key_space = static_cast<std::uint64_t>(sets * ways) * 3;
 
-  for (int op = 0; op < 20000; ++op) {
-    const std::uint64_t key = rng.below(key_space);
-    switch (rng.below(3)) {
-      case 0:
-        ASSERT_EQ(cache.lookup(key), ref.lookup(key)) << "op " << op;
-        break;
-      case 1:
-        cache.insert(key);
-        ref.insert(key);
-        break;
-      default:
-        ASSERT_EQ(cache.invalidate(key), ref.invalidate(key)) << "op " << op;
-        break;
+    for (int op = 0; op < 20000; ++op) {
+      const std::uint64_t key = rng.below(key_space) * stride;
+      if (op == 10000) {  // a global invalidation mid-trace
+        cache.clear();
+        ref.clear();
+      }
+      switch (rng.below(3)) {
+        case 0:
+          ASSERT_EQ(cache.lookup(key), ref.lookup(key)) << "op " << op << " stride " << stride;
+          break;
+        case 1:
+          ASSERT_EQ(cache.insert(key), ref.insert(key)) << "op " << op << " stride " << stride;
+          break;
+        default:
+          ASSERT_EQ(cache.invalidate(key), ref.invalidate(key))
+              << "op " << op << " stride " << stride;
+          break;
+      }
+      ASSERT_EQ(cache.contains(key), ref.contains(key)) << "op " << op << " stride " << stride;
+      ASSERT_EQ(cache.size(), ref.size()) << "op " << op << " stride " << stride;
     }
   }
 }
@@ -98,7 +127,8 @@ TEST_P(LruGeometry, MatchesReferenceModelOnRandomTrace) {
 INSTANTIATE_TEST_SUITE_P(Geometries, LruGeometry,
                          ::testing::Values(std::tuple{1, 4}, std::tuple{1, 64},
                                            std::tuple{1, 128}, std::tuple{4, 4},
-                                           std::tuple{8, 16}, std::tuple{16, 8}),
+                                           std::tuple{8, 16}, std::tuple{16, 8},
+                                           std::tuple{1, 512}, std::tuple{3, 5}),
                          [](const auto& param_info) {
                            return "s" + std::to_string(std::get<0>(param_info.param)) + "w" +
                                   std::to_string(std::get<1>(param_info.param));
