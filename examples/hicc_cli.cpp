@@ -162,8 +162,12 @@ void usage() {
       "                     target is the receiver's access link\n"
       "run control:\n"
       "  --warmup-ms=N --measure-ms=N --seed=N\n"
-      "  --max-events=N     watchdog: abort the run after N simulator\n"
-      "                     events (0 = unlimited, the default)\n"
+      "  --max-events=N     watchdog: abort the run after N executed\n"
+      "                     simulator events (0 = unlimited, the default).\n"
+      "                     The budget is per partition: a cluster of P\n"
+      "                     partitions may run up to P x N. Counter-only\n"
+      "                     datapath steps (most PCIe arrivals and write\n"
+      "                     retirements) are not events and do not count\n"
       "  --timeline-us=N    print a metrics row every N us instead of a\n"
       "                     single summary\n"
       "telemetry (docs/OBSERVABILITY.md):\n"

@@ -37,7 +37,11 @@ class Ring {
 
   /// The i-th element from the front (0 = front()).
   [[nodiscard]] T& operator[](std::size_t i) { return buf_[(head_ + i) & (cap_ - 1)]; }
+  [[nodiscard]] const T& operator[](std::size_t i) const {
+    return buf_[(head_ + i) & (cap_ - 1)];
+  }
   [[nodiscard]] T& front() { return buf_[head_]; }
+  [[nodiscard]] const T& front() const { return buf_[head_]; }
 
   template <typename... Args>
   T& emplace_back(Args&&... args) {

@@ -79,7 +79,8 @@ struct ExperimentConfig {
   TimePs measure = TimePs::from_ms(30);
   std::uint64_t seed = 1;
   /// Run watchdog (docs/FAULTS.md): max_events = 0 leaves the event
-  /// budget unlimited; the same-timestamp guard catches pathological
+  /// budget unlimited, and a cluster applies it to each partition's
+  /// simulator; the same-timestamp guard catches pathological
   /// self-rescheduling loops without bounding legitimate runs (the
   /// densest healthy instant is a few hundred events).
   sim::WatchdogParams watchdog{.max_events = 0, .max_events_per_timestamp = 1'000'000};

@@ -5,9 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "net/packet.h"
@@ -44,6 +44,7 @@ class QueuedLink {
       record_drop();
       return false;
     }
+    settle_releases();
     if (queued_ + p.wire > capacity_) {
       record_drop();
       return false;
@@ -69,16 +70,25 @@ class QueuedLink {
       // conservative contract (arrival lands at or after the window
       // end). The mailed closure reads only deliver_, which is
       // immutable after construction -- the one cross-thread access,
-      // and a data-race-free one.
-      sim_.at(arrival, [this, wire] { queued_ -= wire; });
+      // and a data-race-free one. The release is a reserved slot, not
+      // an event: send() and queued() settle it with passed().
+      releases_.push_back(Release{arrival, sim_.reserve_seq(), wire});
       engine_->post(src_partition_, dst_partition_, arrival,
                     [this, p = std::move(p)]() mutable { deliver_(std::move(p)); });
     }
     return true;
   }
 
-  /// Bytes currently queued or in serialization.
-  [[nodiscard]] Bytes queued() const { return queued_; }
+  /// Bytes currently queued or in serialization. On a cross-partition
+  /// link, read it from the link's partition or from the barrier hook,
+  /// where that partition is parked at the window end.
+  [[nodiscard]] Bytes queued() const {
+    Bytes q = queued_;
+    for (std::size_t i = 0; i < releases_.size() && released(releases_[i]); ++i) {
+      q -= releases_[i].wire;
+    }
+    return q;
+  }
   /// Packets dropped so far (tail drops + down/loss-window discards).
   [[nodiscard]] std::int64_t drops() const { return drops_; }
   [[nodiscard]] BitRate rate() const { return rate_; }
@@ -119,6 +129,24 @@ class QueuedLink {
   }
 
  private:
+  /// A cross-partition packet's occupancy release: its reserved slot at
+  /// the arrival time. Arrivals on one link strictly increase, so the
+  /// releases the engine has passed are a prefix of the ring.
+  struct Release {
+    TimePs at{};
+    std::uint64_t seq = 0;
+    Bytes wire{};
+  };
+
+  [[nodiscard]] bool released(const Release& r) const { return sim_.passed(r.at, r.seq); }
+
+  void settle_releases() {
+    while (!releases_.empty() && released(releases_.front())) {
+      queued_ -= releases_.front().wire;
+      releases_.pop_front();
+    }
+  }
+
   void record_drop() {
     ++drops_;
     if (drop_total_ != nullptr) ++*drop_total_;
@@ -131,6 +159,7 @@ class QueuedLink {
   DeliverFn deliver_;
   TimePs busy_until_{};
   Bytes queued_{};
+  Ring<Release> releases_;  // cross-partition links only
   std::int64_t drops_ = 0;
   std::int64_t* drop_total_ = nullptr;
   sim::ParallelEngine* engine_ = nullptr;

@@ -211,8 +211,8 @@ void Nic::pump() {
       job.tlps_total = static_cast<int>(
           (job.pkt.payload.count() + max_payload - 1) / max_payload);
       // The job takes its slot before its first TLP goes out: with a
-      // credit pool smaller than one packet's TLP stream, early TLPs
-      // retire while later ones still wait for credits.
+      // credit pool smaller than one packet's TLP stream, later TLPs
+      // wait for credits across several pumps.
       sending_job_ = park(jobs_, free_jobs_, std::move(job));
     }
 
@@ -230,31 +230,28 @@ void Nic::pump() {
       const iommu::Iova iova =
           base + static_cast<iommu::Iova>(job.tlps_sent) * 256 % 4096;
       ++job.tlps_sent;
-      const std::int32_t slot = sending_job_;
-      pcie_.send_write_tlp(iova, chunk, [this, slot] {
-        on_payload_tlp_retired(slot);
-      }, job.pre_translated);
+      // The payload is one PCIe burst: only its last TLP carries the
+      // completion, which the bus fires once every TLP has retired.
+      // Bursts never interleave, since one job sends at a time.
+      if (job.tlps_sent < job.tlps_total) {
+        pcie_.send_burst_tlp(iova, chunk, nullptr, job.pre_translated);
+      } else {
+        pcie_.send_burst_tlp(iova, chunk, [this, slot = sending_job_] {
+          // Payload fully in memory: write the completion entry
+          // (credits permitting; otherwise queue it with priority).
+          if (pcie_.can_send_write(params_.cq_entry_bytes)) {
+            start_cq_write(slot);
+          } else {
+            cq_pending_.push_back(slot);
+          }
+        }, job.pre_translated);
+      }
     }
 
     // All TLPs are on the PCIe pipe: the packet has left the input
     // SRAM; admit the next packet.
     buffer_used_ -= job.pkt.wire;
     sending_job_ = -1;
-  }
-}
-
-void Nic::on_payload_tlp_retired(std::int32_t slot) {
-  DmaJob& job = jobs_[static_cast<std::size_t>(slot)];
-  ++job.tlps_retired;
-  // tlps_retired == total implies every TLP was sent (a TLP cannot
-  // retire before it is emitted), so the job is complete.
-  if (job.tlps_retired < job.tlps_total) return;
-  // Payload fully in memory: write the completion entry (credits
-  // permitting; otherwise queue it with priority).
-  if (pcie_.can_send_write(params_.cq_entry_bytes)) {
-    start_cq_write(slot);
-  } else {
-    cq_pending_.push_back(slot);
   }
 }
 

@@ -170,7 +170,6 @@ class Nic {
     bool pre_translated = false;  // ATS: addresses translated on-device
     int tlps_total = 0;
     int tlps_sent = 0;
-    int tlps_retired = 0;
   };
 
   /// Drives descriptor prefetch for one queue.
@@ -178,7 +177,6 @@ class Nic {
   /// Advances the DMA pipeline: CQ writes first, then payload TLPs,
   /// then admits the next buffered packet.
   void pump();
-  void on_payload_tlp_retired(std::int32_t slot);
   void start_cq_write(std::int32_t slot);
 
   [[nodiscard]] iommu::Iova control_page(const Queue& q, int first, int count,
@@ -209,10 +207,9 @@ class Nic {
   // device-TLB fill in flight, never touched when ATS is off.
   std::unordered_map<iommu::Iova, bool> ats_pending_;
   /// Packets whose DMA is in progress, by slot. Slots recycle through
-  /// `free_jobs_`, so per-TLP completions capture `[this, slot]` and
-  /// find their job by index. A job takes its slot at admission,
-  /// because with small credit pools TLPs can retire before the last
-  /// one is sent.
+  /// `free_jobs_`, so completions capture `[this, slot]` and find their
+  /// job by index. A job takes its slot at admission and keeps it
+  /// until its completion-queue write retires.
   std::vector<DmaJob> jobs_;
   std::vector<std::int32_t> free_jobs_;
   /// Slot of the job whose payload TLPs are still being emitted (-1: none).

@@ -1,6 +1,7 @@
 // hicc-lint: hotpath -- steady state must stay allocation-free (DESIGN.md §8).
 #include "pcie/pcie_bus.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -14,15 +15,18 @@ PcieBus::PcieBus(sim::Simulator& sim, mem::MemorySystem& mem, iommu::Iommu& iomm
       params_(params),
       ddio_(ddio),
       credits_free_(params.credit_bytes) {
+  // Completions pending at once: about one per packet in the write
+  // buffer, plus its CQ entry; more grow once.
+  completions_.reserve(16);
   if (tracer != nullptr) {
     // All polled: the sampler reads flow-control state the bus already
     // maintains, so the per-TLP path carries no tracing work.
     tracer->gauge("pcie.credits_in_use", "bytes",
                   [this] { return static_cast<double>(credits_in_use().count()); });
     tracer->gauge("pcie.rc_queue_depth", "tlps",
-                  [this] { return static_cast<double>(rc_arrived_); });
+                  [this] { return static_cast<double>(rc_queue_depth()); });
     tracer->gauge("pcie.write_buffer_bytes", "bytes",
-                  [this] { return static_cast<double>(wb_used_.count()); });
+                  [this] { return static_cast<double>(write_buffer_used().count()); });
     tracer->counter("pcie.translation_stalls", "stalls",
                     [this] { return static_cast<double>(stats_.translation_stalls); });
     tracer->counter("pcie.write_buffer_stalls", "stalls",
@@ -30,12 +34,37 @@ PcieBus::PcieBus(sim::Simulator& sim, mem::MemorySystem& mem, iommu::Iommu& iomm
   }
 }
 
+Bytes PcieBus::write_buffer_used() const {
+  Bytes used = wb_used_;
+  for (std::size_t i = 0; i < retiring_.size() && retired(retiring_[i]); ++i) {
+    used -= retiring_[i].payload;
+  }
+  return used;
+}
+
+std::size_t PcieBus::rc_queue_depth() const {
+  std::size_t n = 0;
+  while (n < rc_queue_.size() && arrived(rc_queue_[n])) ++n;
+  return n;
+}
+
 void PcieBus::send_write_tlp(iommu::Iova iova, Bytes payload, CompletionFn retired,
                              bool pre_translated) {
-  assert(can_send_write(payload));
-  credits_free_ -= params_.tlp_wire_bytes(payload);
+  send_write(Tlp{iova, payload, /*is_read=*/false, pre_translated, /*burst=*/false,
+                 std::move(retired)});
+}
+
+void PcieBus::send_burst_tlp(iommu::Iova iova, Bytes payload, CompletionFn last_retired,
+                             bool pre_translated) {
+  send_write(Tlp{iova, payload, /*is_read=*/false, pre_translated, /*burst=*/true,
+                 std::move(last_retired)});
+}
+
+void PcieBus::send_write(Tlp&& tlp) {
+  assert(can_send_write(tlp.payload));
+  credits_free_ -= params_.tlp_wire_bytes(tlp.payload);
   ++stats_.write_tlps;
-  transmit(Tlp{iova, payload, /*is_read=*/false, pre_translated, std::move(retired)});
+  transmit(std::move(tlp));
 }
 
 void PcieBus::send_read(iommu::Iova iova, Bytes payload, CompletionFn done) {
@@ -43,25 +72,37 @@ void PcieBus::send_read(iommu::Iova iova, Bytes payload, CompletionFn done) {
   // Read requests carry no data downstream; only the header goes on
   // the wire. (Non-posted credits are not modeled: descriptor/ACK
   // traffic is far below the non-posted credit limits.)
-  transmit(Tlp{iova, payload, /*is_read=*/true, /*pre_translated=*/false, std::move(done)});
+  transmit(Tlp{iova, payload, /*is_read=*/true, /*pre_translated=*/false, /*burst=*/false,
+               std::move(done)});
 }
 
-void PcieBus::transmit(Tlp tlp) {
+void PcieBus::transmit(Tlp&& tlp) {
   const Bytes wire =
       tlp.is_read ? params_.tlp_overhead : params_.tlp_wire_bytes(tlp.payload);
   const TimePs start = std::max(link_free_at_, sim_.now());
   link_free_at_ = start + params_.link_rate().time_to_send(wire);
+  tlp.arrive = link_free_at_ + params_.link_latency;
+  tlp.seq = sim_.reserve_seq();
   rc_queue_.push_back(std::move(tlp));
-  sim_.at(link_free_at_ + params_.link_latency, [this] {
-    ++rc_arrived_;
-    pump_rc();
-  });
+  // An arrival only has work to do when it reaches an idle RC. A busy
+  // RC finds its next TLP through passed(); pump_rc() arms the head
+  // itself when the RC goes idle with the head still on the link.
+  if (!rc_busy_ && rc_queue_.size() == 1) arm_arrival();
+}
+
+void PcieBus::arm_arrival() {
+  const Tlp& head = rc_queue_.front();
+  sim_.at_reserved(head.arrive, head.seq, [this] { pump_rc(); });
 }
 
 void PcieBus::pump_rc() {
-  if (rc_busy_ || rc_arrived_ == 0) return;
-  rc_busy_ = true;
+  if (rc_busy_ || rc_queue_.empty()) return;
   const Tlp& head = rc_queue_.front();
+  if (!arrived(head)) {
+    arm_arrival();
+    return;
+  }
+  rc_busy_ = true;
   if (head.pre_translated) {
     // ATS: the address was translated on the device; no IOMMU work and
     // no possible head-of-line walk stall.
@@ -83,14 +124,13 @@ void PcieBus::pump_rc() {
 }
 
 void PcieBus::finish_translation() {
-  assert(rc_busy_ && rc_arrived_ > 0);
+  assert(rc_busy_ && !rc_queue_.empty());
   Tlp& head = rc_queue_.front();
   if (head.is_read) {
     stats_.bytes_read += head.payload.count();
     const TimePs lat = mem_.request(mem::MemClass::kNicDma, head.payload, /*is_read=*/true);
     auto done = std::move(head.done);
     rc_queue_.pop_front();
-    --rc_arrived_;
     rc_busy_ = false;
     // Completion returns over the upstream link.
     sim_.after(lat + params_.link_latency, std::move(done));
@@ -101,7 +141,8 @@ void PcieBus::finish_translation() {
 }
 
 void PcieBus::try_commit_write() {
-  assert(rc_busy_ && rc_arrived_ > 0);
+  assert(rc_busy_ && !rc_queue_.empty());
+  settle_retired();
   Tlp& head = rc_queue_.front();
   if (wb_used_ + head.payload > params_.write_buffer_bytes) {
     // Memory is not draining fast enough: park until a write retires.
@@ -109,14 +150,16 @@ void PcieBus::try_commit_write() {
       head_waiting_wb_ = true;
       ++stats_.write_buffer_stalls;
     }
+    // Only a retirement makes room, and the earliest comes first: it
+    // must be an event to retry the head.
+    if (!retiring_.empty() && !retiring_.front().built) arm_retirement(retiring_.front());
     return;
   }
   head_waiting_wb_ = false;
   const Bytes payload = head.payload;
+  const bool burst = head.burst;
   auto done = std::move(head.done);
   rc_queue_.pop_front();
-  --rc_arrived_;
-  rc_busy_ = false;
 
   // The TLP has left the receive queue: its flow-control credits are
   // released back to the NIC.
@@ -134,14 +177,66 @@ void PcieBus::try_commit_write() {
   } else {
     lat = mem_.request(mem::MemClass::kNicDma, payload, /*is_read=*/false);
   }
-  sim_.after(lat, [this, payload, done = std::move(done)] {
-    wb_used_ -= payload;
-    if (done) done();
-    if (head_waiting_wb_) try_commit_write();
-  });
+  // The retirement takes the slot an event scheduled here would get.
+  Retirement r{sim_.now() + std::max(lat, TimePs{}), sim_.reserve_seq(), payload};
+  std::uint64_t fire = r.seq;
+  if (burst) {
+    // Seqs only grow, so a retirement no earlier than the burst's
+    // latest so far is the new latest.
+    if (burst_seq_ == 0 || r.time >= burst_time_) {
+      burst_time_ = r.time;
+      burst_seq_ = r.seq;
+    }
+    fire = burst_seq_;
+    if (done) burst_seq_ = 0;  // the last TLP closes the burst
+  }
+  retiring_.push_back(r);
+  for (std::size_t i = retiring_.size() - 1; i > 0 && later(retiring_[i - 1], retiring_[i]); --i) {
+    std::swap(retiring_[i - 1], retiring_[i]);
+  }
+  if (done) {
+    // The RC commits in order, so a burst's latest retirement is known
+    // at its last commit, and it is still pending: it is no earlier
+    // than this one.
+    for (std::size_t i = retiring_.size(); i-- > 0;) {
+      Retirement& p = retiring_[i];
+      if (p.seq != fire) continue;
+      if (!p.built) arm_retirement(p);
+      break;
+    }
+    completions_.push_back(Completion{fire, std::move(done)});
+  }
 
   if (credits_cb_) credits_cb_();
+  // Idle only now: a TLP sent from the credit callback queues behind
+  // the new head instead of arming an arrival of its own.
+  rc_busy_ = false;
   pump_rc();
+}
+
+void PcieBus::arm_retirement(Retirement& r) {
+  r.built = true;
+  sim_.at_reserved(r.time, r.seq, [this, seq = r.seq] { retire(seq); });
+}
+
+void PcieBus::settle_retired() {
+  while (!retiring_.empty() && retired(retiring_.front())) {
+    wb_used_ -= retiring_.front().payload;
+    retiring_.pop_front();
+  }
+}
+
+void PcieBus::retire(std::uint64_t seq) {
+  // Only try_commit_write() reads wb_used_, and it settles first.
+  for (Completion& c : completions_) {
+    if (c.seq != seq) continue;
+    const CompletionFn done = std::move(c.done);
+    c = std::move(completions_.back());
+    completions_.pop_back();
+    done();
+    break;
+  }
+  if (head_waiting_wb_) try_commit_write();
 }
 
 }  // namespace hicc::pcie

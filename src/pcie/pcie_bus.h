@@ -24,10 +24,18 @@
 // Non-posted reads (Rx descriptor fetches, Tx/ACK payload fetches)
 // traverse the same link and ordered pipeline, then complete with a
 // memory read plus the upstream link latency.
+//
+// Link arrivals and write retirements are reserved engine slots
+// (sim::Simulator::reserve_seq), not events: most of them only bump a
+// counter, which the bus settles with passed() when it reads it. An
+// event is built, in the reserved slot, only when the step has work to
+// do -- an arrival that wakes an idle RC, a retirement that fires a
+// completion or may unblock a head waiting on the write buffer.
 // hicc-lint: hotpath -- steady state must stay allocation-free (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/ring.h"
 #include "common/units.h"
@@ -96,6 +104,15 @@ class PcieBus {
   void send_write_tlp(iommu::Iova iova, Bytes payload, CompletionFn retired,
                       bool pre_translated = false);
 
+  /// Emits one TLP of a write burst: the TLPs of one DMA, completed as
+  /// a whole. Pass `last_retired` with the burst's last TLP only: it
+  /// fires once, when every TLP of the burst has retired (the latest
+  /// retirement in `(time, seq)` order), and closes the burst. Other
+  /// writes and reads may interleave with an open burst; bursts may
+  /// not interleave with each other.
+  void send_burst_tlp(iommu::Iova iova, Bytes payload, CompletionFn last_retired,
+                      bool pre_translated = false);
+
   /// Emits one non-posted read (descriptor or Tx payload fetch) of
   /// `payload` bytes; `done` fires when the completion reaches the NIC.
   void send_read(iommu::Iova iova, Bytes payload, CompletionFn done);
@@ -106,9 +123,10 @@ class PcieBus {
 
   [[nodiscard]] Bytes credits_free() const { return credits_free_; }
   [[nodiscard]] Bytes credits_in_use() const { return params_.credit_bytes - credits_free_; }
-  [[nodiscard]] Bytes write_buffer_used() const { return wb_used_; }
+  /// Bytes of committed writes not yet retired to memory.
+  [[nodiscard]] Bytes write_buffer_used() const;
   /// TLPs that have reached the root complex and not yet left it.
-  [[nodiscard]] std::size_t rc_queue_depth() const { return rc_arrived_; }
+  [[nodiscard]] std::size_t rc_queue_depth() const;
   [[nodiscard]] const PcieStats& stats() const { return stats_; }
 
  private:
@@ -117,18 +135,54 @@ class PcieBus {
     Bytes payload{};
     bool is_read = false;
     bool pre_translated = false;
+    bool burst = false;  // part of the open burst (send_burst_tlp)
+    CompletionFn done;
+    /// Reserved slot of the link arrival.
+    TimePs arrive{};
+    std::uint64_t seq = 0;
+  };
+
+  /// A committed write whose retirement is not yet settled: its
+  /// reserved `(time, seq)` slot.
+  struct Retirement {
+    TimePs time{};
+    std::uint64_t seq = 0;
+    Bytes payload{};
+    bool built = false;  // an event exists for the slot
+  };
+
+  /// A completion waiting for the retirement slot `seq` to run.
+  struct Completion {
+    std::uint64_t seq = 0;
     CompletionFn done;
   };
 
+  void send_write(Tlp&& tlp);
   /// Places a TLP on the downstream link; it reaches the RC queue
   /// after serialization + propagation.
-  void transmit(Tlp tlp);
-  /// Starts processing the RC queue head if idle.
+  void transmit(Tlp&& tlp);
+  [[nodiscard]] bool arrived(const Tlp& t) const { return sim_.passed(t.arrive, t.seq); }
+  /// Builds the RC head's arrival event in its reserved slot.
+  void arm_arrival();
+  /// Starts processing the RC queue head if idle and arrived; an idle
+  /// RC whose head is still on the link arms the head's arrival.
   void pump_rc();
   /// Head TLP's translation finished; dispatch by type.
   void finish_translation();
   /// Tries to move the head posted write into the write buffer.
   void try_commit_write();
+  [[nodiscard]] static bool later(const Retirement& a, const Retirement& b) {
+    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+  }
+  [[nodiscard]] bool retired(const Retirement& r) const { return sim_.passed(r.time, r.seq); }
+  /// Builds the event for a pending retirement in its reserved slot.
+  void arm_retirement(Retirement& r);
+  /// Subtracts every retirement the engine has passed from wb_used_.
+  void settle_retired();
+  /// The built retirement event of slot `seq`: fires the slot's
+  /// completion if it has one, then retries a head waiting on the
+  /// write buffer.
+  void retire(std::uint64_t seq);
 
   sim::Simulator& sim_;
   mem::MemorySystem& mem_;
@@ -140,13 +194,24 @@ class PcieBus {
   bool credits_frozen_ = false;
   TimePs link_free_at_{};
   /// Every TLP on the link or in the RC, in transmit order. Arrival
-  /// times strictly increase, so the link is FIFO: the first
-  /// `rc_arrived_` entries are the RC queue and the rest are in flight.
+  /// times strictly increase, so the link is FIFO: the prefix whose
+  /// arrival slots the engine has passed is the RC queue, and the rest
+  /// is in flight.
   Ring<Tlp> rc_queue_;
-  std::size_t rc_arrived_ = 0;
   bool rc_busy_ = false;
   bool head_waiting_wb_ = false;
+  /// Committed write bytes, less the retirements settled so far.
   Bytes wb_used_{};
+  /// Unsettled retirements in `(time, seq)` order. Retire times are
+  /// nearly monotone (memory jitter, and DDIO hits retiring early), so
+  /// an insert steps back past only a few entries.
+  Ring<Retirement> retiring_;
+  /// Completions of built retirement events, in no order.
+  std::vector<Completion> completions_;
+  /// Latest retirement slot among the open burst's committed TLPs
+  /// (seq 0: none yet).
+  TimePs burst_time_{};
+  std::uint64_t burst_seq_ = 0;
   CompletionFn credits_cb_;
   PcieStats stats_;
 };

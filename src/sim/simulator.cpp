@@ -71,11 +71,14 @@ void Simulator::run_until(TimePs end) {
     if (!guard_event(c.time)) return;  // abort: now_ stays put
     detach(c);
     now_ = c.time;
+    passed_seq_ = c.seq;
     ++executed_;
     node(static_cast<std::uint32_t>(c.slot)).fn();
     free_node(c.slot);
   }
+  // Everything issued so far at or before `end` has now run.
   now_ = end;
+  passed_seq_ = next_seq_ - 1;
 }
 
 }  // namespace hicc::sim

@@ -13,6 +13,14 @@
 // -stamped tombstoning. See DESIGN.md ("event engine") for the queue
 // structure and the determinism argument.
 //
+// Reserved slots: reserve_seq() issues the seq an event scheduled now
+// would get without building it, at_reserved() builds it later under
+// that seq, and passed() says whether the engine has gone past a slot.
+// A datapath step whose only effect is a counter stays a reservation
+// and is settled by its readers, so only the events that do work are
+// built -- with every built event in the exact (time, seq) place it
+// would have had. See DESIGN.md §8 item 6.
+//
 // Robustness guards (src/fault/ relies on these): an optional watchdog
 // aborts runs that exhaust an event budget or stop making time progress
 // (a pathological self-rescheduling-at-now event). An abort is graceful
@@ -89,7 +97,8 @@ class Simulator {
   EventId at(TimePs t, F&& fn) {
     static_assert(std::is_invocable_r_v<void, std::decay_t<F>&>,
                   "event actions take no arguments and return void");
-    const EventId id = schedule(t);
+    if (t < now_) t = now_;
+    const EventId id = insert(t, next_seq_++);
     node(id.slot).fn = std::forward<F>(fn);
     return id;
   }
@@ -101,6 +110,35 @@ class Simulator {
   EventId after(TimePs delay, F&& fn) {
     if (delay < TimePs{}) delay = TimePs{};
     return at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Issues the seq that an event scheduled now would get, and schedules
+  /// nothing: the caller keeps `(t, seq)` as the event's place in the
+  /// order, settles it with passed(), or builds it with at_reserved().
+  /// Reserve exactly where the event would have been scheduled, so seqs
+  /// are issued in the same order either way.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Builds the event reserved as `(t, seq)`: `fn` runs in the place an
+  /// at(t) call made at reservation time would have taken. `t` must not
+  /// be earlier than now() was then, each reservation is built at most
+  /// once, and only before the engine passes it.
+  template <typename F>
+  EventId at_reserved(TimePs t, std::uint64_t seq, F&& fn) {
+    static_assert(std::is_invocable_r_v<void, std::decay_t<F>&>,
+                  "event actions take no arguments and return void");
+    assert(seq < next_seq_ && !passed(t, seq) && "reserved slot already passed");
+    const EventId id = insert(t, seq);
+    node(id.slot).fn = std::forward<F>(fn);
+    return id;
+  }
+
+  /// True once the engine has gone past the slot `(t, seq)`: an event
+  /// there would already have run. While an event runs, that is when
+  /// `(t, seq)` sorts at or before the running event; between runs, at
+  /// or before `(end, last seq issued)` of the last run_until(end).
+  [[nodiscard]] bool passed(TimePs t, std::uint64_t seq) const {
+    return t < now_ || (t == now_ && seq <= passed_seq_);
   }
 
   /// Cancels a pending event. Returns true if the event had not yet run
@@ -130,6 +168,7 @@ class Simulator {
   [[nodiscard]] std::size_t queued_nodes() const { return occupied_; }
 
   /// Total events executed since construction (for engine benchmarks).
+  /// Reservations that are never built do not count.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Installs (or, with default params, clears) the run watchdog.
@@ -222,10 +261,10 @@ class Simulator {
     return chunks_[slot >> kChunkBits][slot & kChunkMask];
   }
 
-  /// Allocates a node, stamps it live at `(t, next seq)` and links it
-  /// into the wheel or the far-future heap; the closure is assigned by
-  /// at() afterwards. Defined inline below (hot path).
-  EventId schedule(TimePs t);
+  /// Allocates a node, stamps it live at `(t, seq)` and links it into
+  /// the wheel or the far-future heap; the closure is assigned by the
+  /// caller afterwards. Defined inline below (hot path).
+  EventId insert(TimePs t, std::uint64_t seq);
 
   std::int32_t alloc_node_slow();
 
@@ -292,6 +331,10 @@ class Simulator {
 
   TimePs now_{};
   std::uint64_t next_seq_ = 1;
+  /// With now_, the slot passed() compares against: the running (or
+  /// last run) event's seq, or the last seq issued when run_until()
+  /// returned.
+  std::uint64_t passed_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;      // scheduled, not yet run or cancelled
   std::size_t occupied_ = 0;  // slab nodes in use (live + tombstones)
@@ -321,9 +364,7 @@ class Simulator {
 // ---- Hot-path definitions (kept out of the class body for length, in
 // ---- the header for inlining into at()/run loops).
 
-inline EventId Simulator::schedule(TimePs t) {
-  if (t < now_) t = now_;
-  const std::uint64_t seq = next_seq_++;
+inline EventId Simulator::insert(TimePs t, std::uint64_t seq) {
   std::int32_t slot = free_head_;
   if (slot != kNil) {
     free_head_ = node(static_cast<std::uint32_t>(slot)).next;
@@ -456,6 +497,7 @@ inline bool Simulator::run_one() {
   if (!guard_event(c.time)) return false;  // abort: the event stays pending
   detach(c);
   now_ = c.time;
+  passed_seq_ = c.seq;
   ++executed_;
   // Chunk addresses are stable, so the closure runs in place -- no
   // 80-byte move-out per event. The slot is only reclaimed afterwards,

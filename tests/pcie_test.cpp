@@ -1,8 +1,10 @@
 // Tests for the PCIe link + root complex: rate math, credit flow
 // control and conservation, ordered-pipeline translation stalls, write
-// buffer backpressure under memory contention, and the read path.
+// buffer backpressure under memory contention, the read path, burst
+// completion, and the lazily settled occupancy counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -256,5 +258,150 @@ TEST(PcieBus, WalkStallBlocksSubsequentTlps) {
   EXPECT_GE(h.iommu->stats().hits, 1);
 }
 
+// A burst's one completion fires at the latest (time, seq) among its
+// TLPs' retirements. Twin buses with equal seeds draw the same DDIO
+// hits and memory latencies; about half the writes hit the LLC and
+// retire early, so retire order is not commit order, and for some
+// seeds the burst's last TLP is not the last to retire.
+TEST(PcieBus, BurstCompletesAtItsLatestRetirement) {
+  struct Twin {
+    explicit Twin(std::uint64_t ddio_seed) : ddio(mem::DdioParams{}, Rng(ddio_seed)) {
+      ddio.set_io_working_set(ddio.capacity() * 2);  // ~half the writes hit
+      bus.emplace(sim, mem, mmu, PcieParams{}, &ddio);
+    }
+    sim::Simulator sim;
+    mem::MemorySystem mem{sim, mem::DramParams{}, Rng(7)};
+    iommu::Iommu mmu{sim, mem, iommu::IommuParams{.enabled = false}, Rng(0x10771b)};
+    mem::DdioModel ddio;
+    std::optional<PcieBus> bus;
+  };
+  constexpr int kTlps = 16;
+  int last_not_latest = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Twin singles(seed);
+    Twin burst(seed);
+    std::vector<TimePs> retired(kTlps);  // by commit order
+    for (int i = 0; i < kTlps; ++i) {
+      singles.bus->send_write_tlp(
+          0, 256_B, [&, i] { retired[static_cast<std::size_t>(i)] = singles.sim.now(); });
+    }
+    int fired = 0;
+    TimePs completed{};
+    for (int i = 0; i < kTlps; ++i) {
+      PcieBus::CompletionFn done;
+      if (i == kTlps - 1) {
+        done = [&] {
+          ++fired;
+          completed = burst.sim.now();
+        };
+      }
+      burst.bus->send_burst_tlp(0, 256_B, std::move(done));
+    }
+    singles.sim.run_until(100_us);
+    burst.sim.run_until(100_us);
+
+    EXPECT_GT(burst.bus->stats().ddio_write_hits, 2);
+    EXPECT_LT(burst.bus->stats().ddio_write_hits, kTlps - 2);
+    EXPECT_EQ(burst.bus->stats().ddio_write_hits, singles.bus->stats().ddio_write_hits);
+    // An LLC hit retires before DRAM writes committed ahead of it.
+    EXPECT_FALSE(std::is_sorted(retired.begin(), retired.end()));
+    const TimePs latest = *std::max_element(retired.begin(), retired.end());
+    if (retired.back() < latest) ++last_not_latest;
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(completed, latest);
+    // Only the completion and the arrivals at an idle RC are events;
+    // every other retirement stays a reserved slot.
+    EXPECT_LT(burst.sim.executed(), singles.sim.executed());
+  }
+  EXPECT_GT(last_not_latest, 0);
+}
+
+// The occupancy counters are settled lazily from reserved slots. A
+// saturated run with both stall kinds, sampled by a periodic task every
+// 50ns, must match the ledgers kept from the outside -- and a twin that
+// sends the same TLPs as 16-TLP bursts, whose retirements are mostly
+// counter-only slots, must sample the very same values.
+TEST(PcieBus, LazyCountersMatchLedgers) {
+  struct Sample {
+    std::int64_t wb, credits;
+    std::size_t rc_depth;
+    bool operator==(const Sample&) const = default;
+  };
+  struct Run {
+    std::vector<Sample> samples;
+    std::int64_t mismatches = 0;
+    std::int64_t sent = 0;
+    std::int64_t retired_bytes = 0;
+    std::uint64_t events = 0;
+    PcieStats stats;
+  };
+  constexpr int kBurst = 16;
+  auto run = [](bool bursts) {
+    Harness h(/*iommu_on=*/true, /*antagonist_cores=*/15);
+    h.sim.run_until(100_us);  // let the antagonist ramp
+    const PcieParams params;
+    // Four hot pages, and every 16th TLP on one of 512 cold pages that
+    // cycle past the IOTLB: walks stall the RC, and the fast stretches
+    // between them fill the write buffer of the contended memory.
+    constexpr int kCold = 512;
+    const auto rid = h.iommu->map_region(Bytes::mib(2.0 * (4 + kCold)), iommu::PageSize::k2M);
+    const auto& region = h.iommu->region(rid);
+    Run r;
+    bool sending = true;
+    auto pump = [&] {
+      while ((sending || r.sent % kBurst != 0) && h.bus->can_send_write(256_B)) {
+        const std::int64_t page = r.sent % 16 == 0 ? 4 + (r.sent / 16) % kCold : r.sent % 4;
+        const iommu::Iova iova = region.page_iova(page);
+        ++r.sent;
+        if (!bursts) {
+          h.bus->send_write_tlp(iova, 256_B, [&r] { r.retired_bytes += 256; });
+        } else if (r.sent % kBurst != 0) {
+          h.bus->send_burst_tlp(iova, 256_B, nullptr);
+        } else {
+          h.bus->send_burst_tlp(iova, 256_B, [&r] { r.retired_bytes += 256 * kBurst; });
+        }
+      }
+    };
+    h.bus->on_credits_available(pump);
+    pump();
+    sim::PeriodicTask sampler(h.sim, TimePs::from_ns(50), [&] {
+      const Sample now{h.bus->write_buffer_used().count(), h.bus->credits_in_use().count(),
+                       h.bus->rc_queue_depth()};
+      r.samples.push_back(now);
+      const std::int64_t committed_bytes = h.bus->stats().bytes_written;
+      const std::int64_t in_rc = r.sent - committed_bytes / 256;
+      if (now.wb < 0 || now.wb > params.write_buffer_bytes.count()) ++r.mismatches;
+      if (now.credits != in_rc * params.tlp_wire_bytes(256_B).count()) ++r.mismatches;
+      if (now.rc_depth > static_cast<std::size_t>(in_rc)) ++r.mismatches;
+      if (!bursts && now.wb != committed_bytes - r.retired_bytes) ++r.mismatches;
+    });
+    h.sim.run_until(h.sim.now() + 200_us);
+    sending = false;
+    h.sim.run_until(h.sim.now() + 100_us);
+    r.samples.push_back({h.bus->write_buffer_used().count(), h.bus->credits_in_use().count(),
+                         h.bus->rc_queue_depth()});
+    r.events = h.sim.executed();
+    r.stats = h.bus->stats();
+    return r;
+  };
+  const Run ledger = run(/*bursts=*/false);
+  const Run lazy = run(/*bursts=*/true);
+
+  EXPECT_GT(ledger.samples.size(), 5'000u);
+  EXPECT_EQ(ledger.mismatches, 0);
+  EXPECT_EQ(lazy.mismatches, 0);
+  EXPECT_GT(ledger.stats.translation_stalls, 0);
+  EXPECT_GT(ledger.stats.write_buffer_stalls, 0);
+  EXPECT_EQ(ledger.retired_bytes, ledger.stats.bytes_written);
+  EXPECT_EQ(ledger.samples.back(), (Sample{0, 0, 0}));  // drained
+
+  EXPECT_EQ(lazy.sent, ledger.sent);
+  EXPECT_EQ(lazy.retired_bytes, ledger.retired_bytes);
+  EXPECT_EQ(lazy.stats.write_buffer_stalls, ledger.stats.write_buffer_stalls);
+  EXPECT_EQ(lazy.stats.translation_stalls, ledger.stats.translation_stalls);
+  EXPECT_TRUE(lazy.samples == ledger.samples);
+  EXPECT_LT(lazy.events, ledger.events);
+}
 }  // namespace
 }  // namespace hicc::pcie

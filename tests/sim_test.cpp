@@ -1,13 +1,14 @@
 // Unit tests for the discrete-event engine: ordering, cancellation,
 // determinism, periodic tasks, watchdog guards, allocation behavior,
-// InlineAction semantics, a reference-model goldens check, and a
-// queueing sanity property.
+// InlineAction semantics, reference-model goldens checks (plain and
+// with reserved slots), and a queueing sanity property.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <utility>
@@ -551,6 +552,138 @@ TEST(Simulator, GoldensMatchReferenceOrdering) {
   EXPECT_EQ(sim.executed(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     ASSERT_EQ(executed[i], expect[i].label) << "divergence at position " << i;
+  }
+}
+
+// Reserved slots: a random mix of at(), reserve_seq() built later with
+// at_reserved() (some reservations never built), cancels, and
+// run_until() at random ends must execute exactly the stable-sorted
+// (time, seq) order of the built events, as if every reservation had
+// been an at() call where it was made. passed() must report "would
+// have run" at every executed event and after every run_until().
+TEST(Simulator, ReservedEventsKeepTheirPlace) {
+  Simulator sim;
+  struct Ref {
+    std::int64_t time;
+    std::uint64_t seq;
+    bool built = false;
+    bool cancelled = false;
+    EventId id{};
+  };
+  std::vector<Ref> ref;  // every slot: at() events and reservations
+  std::vector<std::size_t> executed;
+  std::size_t passed_mismatches = 0;
+  std::uint64_t lcg = 0xD1B54A32D192ED03ull;
+  auto rnd = [&lcg] {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return lcg >> 33;
+  };
+  // passed() for every slot against "sorts at or before (t, seq)".
+  auto check_passed = [&](std::int64_t t, std::uint64_t seq) {
+    for (const Ref& r : ref) {
+      const bool expect = r.time < t || (r.time == t && r.seq <= seq);
+      if (sim.passed(TimePs(r.time), r.seq) != expect) ++passed_mismatches;
+    }
+  };
+  std::function<void(std::size_t)> on_run;
+  auto build = [&](std::size_t k) {
+    ref[k].built = true;
+    ref[k].id = sim.at_reserved(TimePs(ref[k].time), ref[k].seq, [&on_run, k] { on_run(k); });
+  };
+  // An executed event checks passed(), then sometimes adds a slot of
+  // its own -- at now() or just after, scheduled, reserved and built at
+  // once, or reserved for later.
+  on_run = [&](std::size_t k) {
+    executed.push_back(k);
+    check_passed(ref[k].time, ref[k].seq);
+    if (rnd() % 4 != 0) return;
+    const std::int64_t when =
+        sim.now().ps() + (rnd() % 2 == 0 ? 0 : static_cast<std::int64_t>(rnd() % 4'000));
+    const std::size_t child = ref.size();
+    switch (rnd() % 3) {
+      case 0:
+        ref.push_back({when, 0, true});
+        ref[child].id = sim.at(TimePs(when), [&on_run, child] { on_run(child); });
+        ref[child].seq = ref[child].id.seq;
+        break;
+      case 1:
+        ref.push_back({when, sim.reserve_seq()});
+        EXPECT_FALSE(sim.passed(TimePs(when), ref[child].seq));
+        build(child);
+        break;
+      default:
+        ref.push_back({when, sim.reserve_seq()});
+        break;
+    }
+  };
+  std::int64_t prev_dt = 0;
+  auto pick_dt = [&] {
+    std::int64_t dt;
+    switch (rnd() % 8) {
+      case 0: dt = prev_dt; break;  // exact tie with the previous slot
+      case 1: dt = static_cast<std::int64_t>(rnd() % 4'000); break;
+      case 2: dt = 40'000'000 + static_cast<std::int64_t>(rnd() % 1'000'000'000); break;
+      default: dt = static_cast<std::int64_t>(rnd() % 30'000'000); break;
+    }
+    prev_dt = dt;
+    return dt;
+  };
+
+  std::int64_t end = 0;
+  for (int round = 0; round < 16; ++round) {
+    for (int i = 0; i < 96; ++i) {
+      const std::int64_t when = sim.now().ps() + pick_dt();
+      const std::size_t k = ref.size();
+      if (rnd() % 3 == 0) {
+        ref.push_back({when, sim.reserve_seq()});  // built later, or never
+      } else {
+        ref.push_back({when, 0, true});
+        ref[k].id = sim.at(TimePs(when), [&on_run, k] { on_run(k); });
+        ref[k].seq = ref[k].id.seq;
+      }
+    }
+    // Build some reservations the engine has not passed yet; the ones
+    // left behind stay counter-only slots forever.
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      if (!ref[k].built && !sim.passed(TimePs(ref[k].time), ref[k].seq) && rnd() % 2 == 0) {
+        build(k);
+      }
+    }
+    for (int i = 0; i < 12; ++i) {
+      const std::size_t k = rnd() % ref.size();
+      if (ref[k].built && sim.cancel(ref[k].id)) ref[k].cancelled = true;
+    }
+    // A reservation at exactly `end`, made before run_until(end): it
+    // would have run, so it is passed afterwards.
+    end = sim.now().ps() + static_cast<std::int64_t>(rnd() % 50'000'000);
+    const std::size_t before = ref.size();
+    ref.push_back({end, sim.reserve_seq()});
+    sim.run_until(TimePs(end));
+    for (const Ref& r : ref) {
+      if (sim.passed(TimePs(r.time), r.seq) != (r.time <= end)) ++passed_mismatches;
+    }
+    EXPECT_TRUE(sim.passed(TimePs(end), ref[before].seq));
+    // One made after it would run in the next run_until: not passed.
+    const std::size_t after = ref.size();
+    ref.push_back({end, sim.reserve_seq()});
+    EXPECT_FALSE(sim.passed(TimePs(end), ref[after].seq));
+    if (round % 2 == 0) build(after);
+  }
+  sim.run_until(TimePs::from_sec(10));  // drain, including far-future events
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(passed_mismatches, 0u);
+
+  std::vector<std::size_t> expect;
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    if (ref[k].built && !ref[k].cancelled) expect.push_back(k);
+  }
+  std::stable_sort(expect.begin(), expect.end(), [&ref](std::size_t a, std::size_t b) {
+    return ref[a].time != ref[b].time ? ref[a].time < ref[b].time : ref[a].seq < ref[b].seq;
+  });
+  ASSERT_EQ(executed.size(), expect.size());
+  EXPECT_EQ(sim.executed(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    ASSERT_EQ(executed[i], expect[i]) << "divergence at position " << i;
   }
 }
 
