@@ -25,6 +25,7 @@
 // retry, a resumable journal (--journal/--resume), and graceful
 // SIGINT/SIGTERM handling. Exit codes are documented in usage() and
 // shared with the worker (sweep/worker.h).
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -33,6 +34,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -63,6 +65,29 @@ using hicc::sweep::kExitUsage;
 volatile std::sig_atomic_t g_stop = 0;
 
 void handle_stop(int) { g_stop = 1; }
+
+/// Every flag some mode reads; main() rejects any other key, so a
+/// misspelt or retired flag fails instead of running with defaults.
+constexpr std::string_view kKnownFlags[] = {
+    // workload, receiver host, memory bus, protocol
+    "threads", "senders", "read-kb", "pipeline", "victims", "iommu", "hugepages", "region-mb",
+    "iotlb", "nic-buffer-kb", "ats", "strict", "ddio", "antagonists", "remote-numa", "mba-gbs",
+    "cc", "host-target-us",
+    // topology and open-loop workload
+    "topology", "receivers", "ecmp-seed", "host-gbps", "fabric-gbps", "antagonist-profile",
+    "parallel", "workload", "wl-rate", "wl-arrival", "wl-burst-factor", "wl-burst-on",
+    "wl-burst-period-us", "wl-size", "wl-size-kb", "wl-fanout", "wl-max-active",
+    "wl-target-flows", "wl-sketch-error", "columnar-out",
+    // faults, run control, telemetry
+    "faults", "warmup-ms", "measure-ms", "seed", "max-events", "timeline-us", "trace",
+    "trace-period-us",
+    // sweep and crash isolation
+    "runs", "jobs", "json", "isolate", "point-timeout", "retries", "backoff-ms", "journal",
+    "resume", "inject-fail"};
+
+bool known_flag(std::string_view key) {
+  return std::ranges::find(kKnownFlags, key) != std::end(kKnownFlags);
+}
 
 struct Flags {
   std::map<std::string, std::string> kv;
@@ -119,8 +144,6 @@ void usage() {
       "  --ecmp-seed=N      stateless ECMP hash seed (default 1)\n"
       "  --host-gbps=X      host-to-leaf link rate (default 100)\n"
       "  --fabric-gbps=X    leaf-to-spine link rate (default 100)\n"
-      "  --full-hosts=0|1   build quiescent full host stacks on sender\n"
-      "                     machines (default 1)\n"
       "  --antagonist-profile=A,B,...  per-receiver antagonist cores,\n"
       "                     cycled across receivers (heterogeneous fleet);\n"
       "                     overrides --antagonists on receiver hosts\n"
@@ -306,7 +329,6 @@ int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
   cfg.topology.host_link_rate = hicc::BitRate::gbps(flags.number("host-gbps", 100));
   cfg.topology.fabric_link_rate = hicc::BitRate::gbps(flags.number("fabric-gbps", 100));
   cfg.receivers = static_cast<int>(flags.number("receivers", 1));
-  cfg.full_sender_hosts = flags.flag("full-hosts", true);
   const std::string wl_pattern = flags.str("workload", "off");
   if (!hicc::workload::pattern_from_string(wl_pattern.c_str(), &cfg.workload.pattern)) {
     std::fprintf(stderr,
@@ -641,6 +663,10 @@ int main(int argc, char** argv) {
     const auto eq = arg.find('=');
     const std::string key = arg.substr(2, eq == std::string::npos ? arg.npos : eq - 2);
     const std::string value = eq == std::string::npos ? "1" : arg.substr(eq + 1);
+    if (!known_flag(key)) {
+      std::fprintf(stderr, "unknown flag --%s (try --help)\n", key.c_str());
+      return kExitUsage;
+    }
     flags.kv[key] = value;
   }
 

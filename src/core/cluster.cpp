@@ -12,7 +12,7 @@ ClusterConfig degenerate_cluster(const ExperimentConfig& cfg) {
   c.host = cfg;
   c.topology = single_host_topology(cfg);
   c.receivers = 1;
-  c.full_sender_hosts = false;
+  c.sender_stack_streams = false;
   return c;
 }
 
@@ -41,10 +41,11 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
   fabric_ = std::make_unique<net::ClosFabric>(
       engine_, cfg_.topology, [this](int h, net::Packet p) { dispatch(h, std::move(p)); });
 
-  // Receiver stacks first, then (optional) sender stacks, then the
+  // Receiver stacks first, then the sender-stack streams, then the
   // serving transports -- a fixed fork order so equal seeds reproduce
-  // bitwise, and so the K=1 transport-only case forks exactly like the
-  // legacy Experiment (mem, remote mem, receiver, senders 0..M-1).
+  // bitwise, and so the K=1 case without sender-stack streams forks
+  // exactly like the legacy Experiment (mem, remote mem, receiver,
+  // senders 0..M-1).
   // Construction is always single-threaded; each host's components
   // simply schedule on its partition simulator, so the fork order (and
   // hence every RNG stream) is thread-count independent.
@@ -63,15 +64,8 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
                                         open_loop, cfg_.workload.max_active);
     groups_.push_back(std::move(group));
   }
-  if (cfg_.full_sender_hosts) {
-    sender_stacks_.reserve(static_cast<std::size_t>(senders_per_receiver_));
-    for (int s = 0; s < senders_per_receiver_; ++s) {
-      const int g = receivers_ + s;
-      const trace::Tracer::ScopedPrefix prefix(tracer_.get(), trace::host_prefix(g));
-      const HostFactory factory(host_sim(g));
-      sender_stacks_.push_back(
-          factory.make_full_host(cfg_.host, senders_per_receiver_, rng_, tracer_.get()));
-    }
+  if (cfg_.sender_stack_streams) {
+    for (int s = 0; s < senders_per_receiver_; ++s) HostFactory::skip_full_host(rng_);
   }
 
   sender_ports_.resize(static_cast<std::size_t>(senders_per_receiver_));

@@ -7,10 +7,9 @@
 // are sender machines serving reads to *every* receiver. receivers=1
 // gives the incast tree the paper studies; receivers>1 gives
 // many-to-many traffic with several simultaneous host bottlenecks.
-// When `full_sender_hosts` is set (the default), sender machines also
-// get a full host stack -- constructed but quiescent, since per the
-// paper (§2, footnote 1) the transmit path sees no host congestion;
-// the serving transports remain transport-level SenderHosts.
+// Sender machines carry only their serving transports (SenderHost):
+// per the paper (§2, footnote 1) the transmit path sees no host
+// congestion, so a host stack there would carry no traffic.
 //
 // Addressing: transports write the destination host into Packet::dst;
 // the ClosFabric routes purely on it. On the reverse path the
@@ -20,10 +19,11 @@
 // (SenderHost itself never reads Packet::sender).
 //
 // Determinism: one RNG stream forked in a fixed order -- per-receiver
-// host stacks, optional sender-host stacks, then per-(sender,
-// receiver) transports, fault engine last. With a one-leaf topology,
-// one receiver, and transport-only senders this is fork-for-fork the
-// Experiment sequence (degenerate_cluster()); the run then
+// host stacks, the streams of one host stack per sender machine (drawn
+// and discarded unless `sender_stack_streams` is off), then
+// per-(sender, receiver) transports, fault engine last. With a
+// one-leaf topology, one receiver, and no sender-stack streams this is
+// fork-for-fork the Experiment sequence (degenerate_cluster()); the run then
 // matches Experiment's physical metrics as long as no cross-partition
 // delivery lands on the same picosecond as a host-local event, which
 // tests/cluster_test.cpp pins for its uncongested config.
@@ -72,10 +72,13 @@ struct ClusterConfig {
   net::TopologyConfig topology;
   /// Hosts 0..receivers-1 run receiver workloads; the rest serve them.
   int receivers = 1;
-  /// Build a full (quiescent) host stack on sender machines too. The
-  /// degenerate mapping turns this off: Experiment models senders at
-  /// transport level only.
-  bool full_sender_hosts = true;
+  /// Draw (and discard) the RNG streams of one host stack per sender
+  /// machine after the receivers' stacks. Every later stream --
+  /// transports, workload engines, fault engine -- then sits where the
+  /// pinned cluster outputs (fig1_cluster_scatter.csv, perfbench's
+  /// clos_openloop fingerprint) expect it. Only degenerate_cluster()
+  /// clears it, to fork exactly like Experiment.
+  bool sender_stack_streams = true;
   /// Cluster-level fault script; net.* events target `leaf=`+`spine=`
   /// (a leaf-spine link), `host=` (a host uplink), or by default
   /// receiver 0's downlink, as in every run (docs/FAULTS.md).
@@ -247,8 +250,6 @@ class ClusterExperiment {
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<net::ClosFabric> fabric_;
   std::vector<ReceiverGroup> groups_;
-  /// Quiescent full stacks on sender machines (full_sender_hosts).
-  std::vector<FullHost> sender_stacks_;
   /// sender_ports_[s][r]: sender machine receivers_+s's transport
   /// serving receiver r.
   std::vector<std::vector<std::unique_ptr<transport::SenderHost>>> sender_ports_;

@@ -71,6 +71,11 @@ FullHost HostFactory::make_full_host(const ExperimentConfig& cfg, int num_sender
   return h;
 }
 
+void HostFactory::skip_full_host(Rng& rng) {
+  // mem, remote mem, receiver: make_full_host()'s three forks.
+  for (int i = 0; i < 3; ++i) (void)rng.fork();
+}
+
 HostCounterSnapshot snapshot_host_counters(const HostHarvestSources& src,
                                            std::int64_t fabric_drops) {
   HostCounterSnapshot s;

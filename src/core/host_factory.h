@@ -63,6 +63,10 @@ class HostFactory {
                                         bool open_loop = false,
                                         int open_loop_slots = 0) const;
 
+  /// Draws and discards the forks make_full_host() takes from `rng`,
+  /// leaving it where building a stack would have.
+  static void skip_full_host(Rng& rng);
+
  private:
   sim::Simulator& sim_;
 };

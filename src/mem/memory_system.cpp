@@ -1,6 +1,7 @@
 #include "mem/memory_system.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 
@@ -47,12 +48,16 @@ ClientId MemorySystem::add_closed_loop(MemClass cls, int cores, BitRate per_core
                                  .demand = BitRate(0),
                                  .read_fraction = read_fraction,
                                  .achieved = BitRate(0)});
+  solve_dirty_ = true;
   return ClientId{static_cast<int>(clients_.size()) - 1};
 }
 
 void MemorySystem::set_cores(ClientId id, int cores) {
   assert(id.valid() && static_cast<std::size_t>(id.index) < clients_.size());
-  clients_[static_cast<std::size_t>(id.index)].cores = cores;
+  int& current = clients_[static_cast<std::size_t>(id.index)].cores;
+  if (current == cores) return;
+  current = cores;
+  solve_dirty_ = true;
 }
 
 ClientId MemorySystem::add_open(MemClass cls, double read_fraction) {
@@ -64,16 +69,25 @@ ClientId MemorySystem::add_open(MemClass cls, double read_fraction) {
                                  .demand = BitRate(0),
                                  .read_fraction = read_fraction,
                                  .achieved = BitRate(0)});
+  solve_dirty_ = true;
   return ClientId{static_cast<int>(clients_.size()) - 1};
 }
 
 void MemorySystem::set_demand(ClientId id, BitRate demand) {
   assert(id.valid() && static_cast<std::size_t>(id.index) < clients_.size());
-  clients_[static_cast<std::size_t>(id.index)].demand = demand;
+  BitRate& current = clients_[static_cast<std::size_t>(id.index)].demand;
+  // The rx accounting tick re-sets an unchanged demand every 20 us;
+  // only a new value (compared bitwise) invalidates the last solve.
+  if (std::bit_cast<std::uint64_t>(current.bps()) == std::bit_cast<std::uint64_t>(demand.bps())) {
+    return;
+  }
+  current = demand;
+  solve_dirty_ = true;
 }
 
 void MemorySystem::set_class_throttle(MemClass cls, BitRate cap) {
   class_throttle_bps_[static_cast<std::size_t>(cls)] = cap.bps();
+  solve_dirty_ = true;
 }
 
 double MemorySystem::throttled_core_peak(const FluidClient& c) const {
@@ -105,13 +119,46 @@ double MemorySystem::fluid_bw_at(TimePs latency) const {
 }
 
 void MemorySystem::on_epoch() {
-  const double cap = params_.achievable_bw().bps();
-
   // Measured discrete offered rate over the epoch that just ended.
   double discrete_bytes = 0.0;
   for (double b : discrete_bytes_epoch_) discrete_bytes += b;
   discrete_rate_ = BitRate(discrete_bytes * 8.0 / epoch_.sec());
   std::fill(std::begin(discrete_bytes_epoch_), std::end(discrete_bytes_epoch_), 0.0);
+
+  // The operating point depends on nothing but the clients, the
+  // throttles and the discrete rate: with all three as at the last
+  // solve, that solve's (rho_, latency_) is the answer bit for bit.
+  const auto rate_bits = std::bit_cast<std::uint64_t>(discrete_rate_.bps());
+  if (solve_dirty_ || rate_bits != solved_rate_bits_) {
+    solve();
+    solve_dirty_ = false;
+    solved_rate_bits_ = rate_bits;
+  }
+
+  // Record each fluid client's achieved bandwidth at the operating
+  // point and integrate it into the measurement window.
+  for (auto& c : clients_) {
+    double bw = 0.0;
+    if (c.closed_loop) {
+      if (c.cores > 0) {
+        const double by_latency = c.per_core_outstanding.bits() / latency_.sec();
+        bw = static_cast<double>(c.cores) * std::min(throttled_core_peak(c), by_latency);
+      }
+    } else {
+      bw = c.demand.bps();
+      const double throttle = class_throttle_bps_[static_cast<std::size_t>(c.cls)];
+      if (throttle > 0.0) bw = std::min(bw, throttle);
+    }
+    c.achieved = BitRate(bw);
+    const double bytes = bw / 8.0 * epoch_.sec();
+    window_bytes_by_class_[static_cast<std::size_t>(c.cls)] += bytes;
+    window_read_bytes_ += bytes * c.read_fraction;
+    window_write_bytes_ += bytes * (1.0 - c.read_fraction);
+  }
+}
+
+void MemorySystem::solve() {
+  const double cap = params_.achievable_bw().bps();
 
   // Find the operating point. Below saturation the latency follows the
   // load-latency curve; f(rho) = offered(rho)/cap is non-increasing in
@@ -154,27 +201,6 @@ void MemorySystem::on_epoch() {
     }
     rho_ = hi;
     latency_ = params_.latency_at(rho_);
-  }
-
-  // Record each fluid client's achieved bandwidth at the new operating
-  // point and integrate it into the measurement window.
-  for (auto& c : clients_) {
-    double bw = 0.0;
-    if (c.closed_loop) {
-      if (c.cores > 0) {
-        const double by_latency = c.per_core_outstanding.bits() / latency_.sec();
-        bw = static_cast<double>(c.cores) * std::min(throttled_core_peak(c), by_latency);
-      }
-    } else {
-      bw = c.demand.bps();
-      const double throttle = class_throttle_bps_[static_cast<std::size_t>(c.cls)];
-      if (throttle > 0.0) bw = std::min(bw, throttle);
-    }
-    c.achieved = BitRate(bw);
-    const double bytes = bw / 8.0 * epoch_.sec();
-    window_bytes_by_class_[static_cast<std::size_t>(c.cls)] += bytes;
-    window_read_bytes_ += bytes * c.read_fraction;
-    window_write_bytes_ += bytes * (1.0 - c.read_fraction);
   }
 }
 

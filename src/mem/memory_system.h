@@ -25,6 +25,11 @@
 // bytes outstanding than the NIC's bounded write buffer, CPUs win a
 // larger share when the bus saturates; this is the paper's observed
 // unfairness and needs no explicit scheduler bias.
+//
+// The operating point is a pure function of the fluid clients, the
+// class throttles and the discrete rate, so an epoch in which none of
+// them changed keeps the last solve's answer instead of bisecting
+// again (DESIGN.md §8 item 7).
 #pragma once
 
 #include <array>
@@ -100,7 +105,8 @@ class MemorySystem {
   void set_demand(ClientId id, BitRate demand);
 
   /// MBA-style QoS: caps the aggregate bandwidth of `cls` (§4 ablation).
-  /// A zero/negative cap removes the throttle.
+  /// A zero/negative cap removes the throttle. Always re-solves at the
+  /// next epoch, even when the cap is unchanged.
   void set_class_throttle(MemClass cls, BitRate cap);
 
   /// Achieved bandwidth of a fluid client at the current operating
@@ -145,8 +151,13 @@ class MemorySystem {
     BitRate achieved{};   // updated by the solver
   };
 
-  /// Re-solves the fluid operating point and integrates fluid bytes.
+  /// Re-solves the fluid operating point when its inputs changed and
+  /// integrates fluid bytes.
   void on_epoch();
+
+  /// Finds the operating point (rho_, latency_) for the current
+  /// clients, throttles and discrete rate -- a pure function of those.
+  void solve();
 
   /// Total fluid bandwidth given a candidate latency, honoring peaks,
   /// outstanding limits, and class throttles.
@@ -166,6 +177,11 @@ class MemorySystem {
   // Operating point.
   double rho_ = 0.0;
   TimePs latency_;
+  /// Memo of the last solve: set when a client or throttle changes; a
+  /// clean epoch whose discrete rate has the same bits as
+  /// `solved_rate_bits_` keeps the operating point.
+  bool solve_dirty_ = true;
+  std::uint64_t solved_rate_bits_ = 0;
 
   // Discrete-side accounting for the current epoch.
   double discrete_bytes_epoch_[kMemClassCount] = {};

@@ -145,7 +145,6 @@ ClusterConfig PointSpec::cluster() const {
   cfg.topology.host_link_rate = BitRate::gbps(host_gbps);
   cfg.topology.fabric_link_rate = BitRate::gbps(fabric_gbps);
   cfg.receivers = receivers;
-  cfg.full_sender_hosts = full_hosts;
   cfg.parallelism = parallelism;
   cfg.mailbox_capacity = mailbox_capacity;
   return cfg;
@@ -174,7 +173,6 @@ std::string cluster_point_spec(const ClusterConfig& cfg, std::size_t index) {
   w.put("ecmp_seed", cfg.topology.ecmp_seed);
   w.put("host_gbps", cfg.topology.host_link_rate.bps() / 1e9);
   w.put("fabric_gbps", cfg.topology.fabric_link_rate.bps() / 1e9);
-  w.put("full_hosts", cfg.full_sender_hosts);
   w.put("parallelism", cfg.parallelism);
   w.put("mailbox_capacity", static_cast<std::uint64_t>(cfg.mailbox_capacity));
   return os.str();
@@ -358,8 +356,6 @@ SpecParse parse_point_spec(const std::string& text) {
       as_dbl(value, &spec.host_gbps);
     } else if (key == "fabric_gbps") {
       as_dbl(value, &spec.fabric_gbps);
-    } else if (key == "full_hosts") {
-      as_bool(value, &spec.full_hosts);
     } else if (key == "parallelism") {
       as_int(value, &spec.parallelism);
     } else if (key == "mailbox_capacity") {

@@ -70,7 +70,6 @@ struct PointSpec {
   std::uint64_t ecmp_seed = 1;
   double host_gbps = 100.0;
   double fabric_gbps = 100.0;
-  bool full_hosts = true;
   int parallelism = 1;
   std::size_t mailbox_capacity = 0;
 

@@ -22,11 +22,41 @@ SenderFlow::SenderFlow(sim::Simulator& sim, std::int32_t flow_id, std::int32_t s
       send_(std::move(send)),
       rng_(rng),
       outstanding_(nodes),
-      rto_task_(sim, kRtoScanPeriod, [this] { check_rto(); }) {}
+      scan_at_(sim.now() + kRtoScanPeriod),
+      scan_seq_(sim.reserve_seq()) {}
+
+SenderFlow::~SenderFlow() { sim_.cancel(scan_event_); }
 
 void SenderFlow::enqueue_packets(std::int64_t n) {
   pending_new_ += n;
+  // Ahead of try_send(), so the scan is ordered before every event the
+  // flow causes from here on.
+  if (!scan_event_.valid() && pending_new_ > 0) wake_scan();
   try_send();
+}
+
+void SenderFlow::wake_scan() {
+  if (!sim_.passed(scan_at_, scan_seq_)) {
+    scan_event_ = sim_.at_reserved(scan_at_, scan_seq_, [this] { on_scan(); });
+    return;
+  }
+  // Every skipped scan found the flow idle, a no-op. The first one it
+  // now gets cannot fire an RTO either: its packets are all younger
+  // than one period, and the RTO is at least 1 ms.
+  const std::int64_t periods = (sim_.now() - scan_at_).ps() / kRtoScanPeriod.ps() + 1;
+  scan_at_ = scan_at_ + kRtoScanPeriod * periods;
+  scan_event_ = sim_.at(scan_at_, [this] { on_scan(); });
+}
+
+void SenderFlow::on_scan() {
+  scan_event_ = {};
+  // Reserve the next slot first, where a periodic re-arm takes its seq.
+  scan_at_ = sim_.now() + kRtoScanPeriod;
+  scan_seq_ = sim_.reserve_seq();
+  check_rto();
+  if (!outstanding_.empty() || pending_new_ > 0) {
+    scan_event_ = sim_.at_reserved(scan_at_, scan_seq_, [this] { on_scan(); });
+  }
 }
 
 TimePs SenderFlow::pacing_interval() {

@@ -7,6 +7,13 @@
 // 4 MTU packets) and is transmitted under the congestion controller's
 // window; fractional windows (< 1 packet) are paced at one packet per
 // srtt/cwnd, as in Swift.
+//
+// Retransmission timeouts are found by a scan every 250 us on a grid
+// counted from the flow's creation. Each scan reserves the next grid
+// slot's seq but builds that event only while the flow has data
+// outstanding or pending; enqueue_packets() wakes an idle flow's scan
+// in its reserved slot, or at the next grid point if it slept past it
+// (DESIGN.md §8 item 7).
 #pragma once
 
 #include <cstdint>
@@ -47,6 +54,7 @@ class SenderFlow {
 
   SenderFlow(const SenderFlow&) = delete;
   SenderFlow& operator=(const SenderFlow&) = delete;
+  ~SenderFlow();
 
   /// Queues `n` new MTU packets for transmission (a 16KB read = 4).
   void enqueue_packets(std::int64_t n);
@@ -69,6 +77,13 @@ class SenderFlow {
   /// Transmits (or retransmits) sequence `seq`.
   void emit(std::int64_t seq, bool retransmission);
   void check_rto();
+  /// The scan event: reserves the next grid slot, checks for timeouts
+  /// and builds that slot only while the flow has data.
+  void on_scan();
+  /// Builds the scan of a flow whose scan is not built: its reserved
+  /// slot if the engine has not passed it, else the next grid point
+  /// after now().
+  void wake_scan();
   [[nodiscard]] TimePs pacing_interval();
   [[nodiscard]] TimePs rto() const;
 
@@ -90,7 +105,11 @@ class SenderFlow {
   TimePs srtt_{};
   TimePs next_pace_at_{};
   sim::EventId pace_timer_{};
-  sim::PeriodicTask rto_task_;
+  /// The next scan's grid slot: its time and reserved seq.
+  TimePs scan_at_;
+  std::uint64_t scan_seq_;
+  /// Valid while that slot's event is built.
+  sim::EventId scan_event_{};
   FlowStats stats_;
 
   /// Packets acknowledged out of order beyond this gap trigger fast

@@ -106,7 +106,7 @@ TEST(ClusterParity, DegenerateMappingPreservesShape) {
   EXPECT_EQ(cc.topology.spines, 1);
   EXPECT_EQ(cc.topology.num_hosts(), small_config().num_senders + 1);
   EXPECT_EQ(cc.receivers, 1);
-  EXPECT_FALSE(cc.full_sender_hosts);
+  EXPECT_FALSE(cc.sender_stack_streams);
 }
 
 // ----------------------------------------------------- determinism
@@ -251,9 +251,14 @@ TEST(ClusterTrace, ComponentProbesCarryTheHostPrefix) {
     EXPECT_TRUE(
         exp.tracer()->find(trace::host_probe(r, "cluster.port_queue_bytes")).has_value());
   }
-  // Quiescent sender machines carry full stacks too (host 2 is the
-  // first sender machine).
-  EXPECT_TRUE(exp.tracer()->find(trace::host_probe(2, "nic.buffer_drops")).has_value());
+  // Sender machines (hosts 2..7) carry no host stack, only their
+  // serving transports' histograms.
+  for (int g = 2; g < 8; ++g) {
+    EXPECT_FALSE(exp.tracer()->find(trace::host_probe(g, "nic.buffer_drops")).has_value())
+        << trace::host_probe(g, "nic.buffer_drops");
+    EXPECT_TRUE(exp.tracer()->find(trace::host_probe(g, "transport.rtt_us")).has_value())
+        << trace::host_probe(g, "transport.rtt_us");
+  }
   // The run-global transport gauge stays unprefixed, and no unprefixed
   // component probe leaks into a cluster run.
   EXPECT_TRUE(exp.tracer()->find("transport.cwnd_avg").has_value());

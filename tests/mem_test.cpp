@@ -1,8 +1,11 @@
 // Unit + property tests for the memory subsystem: DRAM parameters,
-// load-latency curve, the fluid fixed-point solver, closed-loop
-// antagonist scaling, saturation sharing, QoS throttles, and the
-// discrete request path.
+// load-latency curve, the fluid fixed-point solver and its memo,
+// closed-loop antagonist scaling, saturation sharing, QoS throttles,
+// and the discrete request path.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -224,6 +227,76 @@ TEST(MemorySystem, SolverStaysInBoundsAcrossRandomMixes) {
     EXPECT_LE(h.mem.utilization(), 1.05);
     EXPECT_GE(h.mem.current_latency(), h.mem.params().idle_latency);
     EXPECT_LE(h.mem.current_latency(), h.mem.params().max_latency);
+  }
+}
+
+// The memo: an epoch whose clients, throttles and discrete rate match
+// the last solve keeps its operating point. A twin that re-solves every
+// epoch (a no-op throttle re-set marks it dirty) must agree bit for bit
+// under a random mix of requests, demand updates -- same-value repeats
+// included, as the rx accounting tick makes them -- and antagonist core
+// toggles like the mem.antagonist fault's.
+TEST(MemorySystem, MemoizedSolveEqualsFreshSolve) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const TimePs epoch = 5_us;
+  sim::Simulator memo_sim;
+  sim::Simulator fresh_sim;
+  MemorySystem memo(memo_sim, DramParams{}, Rng(7), epoch);
+  MemorySystem fresh(fresh_sim, DramParams{}, Rng(7), epoch);
+  StreamAntagonist memo_ant(memo, AntagonistParams{}, 4);
+  StreamAntagonist fresh_ant(fresh, AntagonistParams{}, 4);
+  const ClientId memo_copy = memo.add_open(MemClass::kCpuCopy, 1.0);
+  const ClientId fresh_copy = fresh.add_open(MemClass::kCpuCopy, 1.0);
+  memo.begin_window();
+  fresh.begin_window();
+
+  Rng rng(2024);
+  BitRate demand = BitRate::gigabytes_per_sec(3.0);
+  for (int step = 1; step <= 4000; ++step) {
+    // Discrete requests; none at all in about 40% of epochs, so their
+    // rate repeats and the memo gets hits.
+    const int requests = rng.uniform() < 0.4 ? 0 : static_cast<int>(rng.below(6));
+    for (int i = 0; i < requests; ++i) {
+      const MemClass cls = rng.uniform() < 0.8 ? MemClass::kNicDma : MemClass::kIommuWalk;
+      const Bytes n(64 * static_cast<std::int64_t>(1 + rng.below(64)));
+      const bool is_read = rng.uniform() < 0.3;
+      EXPECT_EQ(memo.request(cls, n, is_read), fresh.request(cls, n, is_read));
+    }
+    // The copy demand: a new value, or the same one re-set.
+    const double u = rng.uniform();
+    if (u < 0.1) demand = BitRate::gigabytes_per_sec(rng.uniform(0.0, 40.0));
+    if (u < 0.6) {
+      memo.set_demand(memo_copy, demand);
+      fresh.set_demand(fresh_copy, demand);
+    }
+    // Antagonist cores: raised to 15 and restored, as the mem.antagonist
+    // fault does, or re-set unchanged.
+    const double v = rng.uniform();
+    if (v < 0.02) {
+      const int cores = memo_ant.cores() == 15 ? 4 : 15;
+      memo_ant.set_cores(cores);
+      fresh_ant.set_cores(cores);
+    } else if (v < 0.1) {
+      memo_ant.set_cores(memo_ant.cores());
+      fresh_ant.set_cores(fresh_ant.cores());
+    }
+    fresh.set_class_throttle(MemClass::kOther, BitRate(0));
+
+    memo_sim.run_until(epoch * step);
+    fresh_sim.run_until(epoch * step);
+    ASSERT_EQ(memo.current_latency(), fresh.current_latency()) << "epoch " << step;
+    ASSERT_EQ(bits(memo.utilization()), bits(fresh.utilization())) << "epoch " << step;
+    ASSERT_EQ(bits(memo.achieved(memo_copy).bps()), bits(fresh.achieved(fresh_copy).bps()));
+    ASSERT_EQ(bits(memo_ant.achieved().bps()), bits(fresh_ant.achieved().bps()));
+    const BandwidthReport a = memo.window_report();
+    const BandwidthReport b = fresh.window_report();
+    ASSERT_EQ(bits(a.total_gbytes_per_sec), bits(b.total_gbytes_per_sec)) << "epoch " << step;
+    ASSERT_EQ(bits(a.read_gbytes_per_sec), bits(b.read_gbytes_per_sec));
+    ASSERT_EQ(bits(a.write_gbytes_per_sec), bits(b.write_gbytes_per_sec));
+    for (int c = 0; c < kMemClassCount; ++c) {
+      ASSERT_EQ(bits(a.by_class_gbytes_per_sec[static_cast<std::size_t>(c)]),
+                bits(b.by_class_gbytes_per_sec[static_cast<std::size_t>(c)]));
+    }
   }
 }
 

@@ -40,12 +40,36 @@ void* operator new(std::size_t n, std::align_val_t a) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n, std::align_val_t a) { return ::operator new(n, a); }
+// The nothrow forms too (std::stable_sort's buffer comes from one):
+// every block this hook frees must come from this hook.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+void* operator new(std::size_t n, std::align_val_t a, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto align = static_cast<std::size_t>(a);
+  const std::size_t rounded = (n + align - 1) / align * align;
+  return std::aligned_alloc(align, rounded ? rounded : align);
+}
+void* operator new[](std::size_t n, std::align_val_t a, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, a, t);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace hicc::sim {
 namespace {

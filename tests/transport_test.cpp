@@ -1,9 +1,14 @@
 // Tests for the transport layer: Swift window dynamics (increase,
 // decrease, dual fabric/host targets, fractional windows), the
 // TCP-like baseline, sender-flow pacing, selective acks, fast
-// retransmit, RTO recovery, and the sender host's request handling.
+// retransmit, RTO recovery and its scan grid, and the sender host's
+// request handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/packet.h"
@@ -287,6 +292,200 @@ TEST(SenderFlow, NoRetransmitWithoutGap) {
   for (int i = 0; i < 4; ++i) h.flow->on_ack(h.make_ack(h.sent[static_cast<std::size_t>(i)]));
   EXPECT_EQ(h.flow->stats().retransmits, 0);
   EXPECT_EQ(h.flow->outstanding(), 0u);
+}
+
+// ------------------------------------------------- SenderFlow RTO scan
+
+TEST(SenderFlow, IdleFlowHoldsNoScanEvent) {
+  FlowHarness h(4.0);
+  EXPECT_EQ(h.sim.pending(), 0u);  // a new flow has nothing to scan
+  h.flow->enqueue_packets(4);
+  EXPECT_EQ(h.sim.pending(), 1u);  // the scan, 250 us from creation
+  h.sim.run_until(20_us);
+  for (int i = 0; i < 4; ++i) h.flow->on_ack(h.make_ack(h.sent[static_cast<std::size_t>(i)]));
+  ASSERT_EQ(h.flow->outstanding(), 0u);
+  // The built scan runs once more, finds the flow idle and builds no
+  // successor: pending() drops to zero and stays there.
+  h.sim.run_until(250_us);
+  EXPECT_EQ(h.sim.pending(), 0u);
+  const std::uint64_t executed = h.sim.executed();
+  h.sim.run_until(10_ms);
+  EXPECT_EQ(h.sim.executed(), executed);
+  EXPECT_EQ(h.flow->stats().rto_fires, 0);
+}
+
+// A copy of SenderFlow's send/ack/RTO logic as it stood when a
+// sim::PeriodicTask ran the scan every 250 us from creation, idle or
+// not. Windows >= 1 only (no pacing), which is all the test drives.
+class PeriodicScanFlow {
+ public:
+  PeriodicScanFlow(sim::Simulator& sim, const net::WireFormat& wire, double cwnd,
+                   SenderFlow::SendFn send)
+      : sim_(sim),
+        wire_(wire),
+        window_(static_cast<std::size_t>(cwnd)),
+        send_(std::move(send)),
+        scan_(sim, 250_us, [this] { check_rto(); }) {}
+
+  void enqueue_packets(std::int64_t n) {
+    pending_ += n;
+    try_send();
+  }
+
+  void on_ack(const net::Packet& ack) {
+    const auto it = outstanding_.find(ack.seq);
+    if (it != outstanding_.end()) {
+      const TimePs rtt = sim_.now() - ack.sent_at;
+      srtt_ = srtt_ == TimePs(0) ? rtt : TimePs((srtt_.ps() * 7 + rtt.ps()) / 8);
+      outstanding_.erase(it);
+    }
+    highest_acked_ = std::max(highest_acked_, ack.seq);
+    int budget = 2;
+    for (auto cand = outstanding_.begin(); cand != outstanding_.end() && budget > 0; ++cand) {
+      if (cand->first + 3 > highest_acked_) break;
+      if (sim_.now() - cand->second < (srtt_ == TimePs(0) ? 20_us : srtt_)) continue;
+      emit(cand->first, /*retransmission=*/true);
+      --budget;
+    }
+    try_send();
+  }
+
+  [[nodiscard]] const FlowStats& stats() const { return stats_; }
+
+ private:
+  void try_send() {
+    while (pending_ > 0 && outstanding_.size() < window_) {
+      --pending_;
+      ++stats_.data_packets_sent;
+      emit(next_seq_++, /*retransmission=*/false);
+    }
+  }
+
+  void emit(std::int64_t seq, bool retransmission) {
+    net::Packet p;
+    p.kind = net::PacketKind::kData;
+    p.seq = seq;
+    p.payload = wire_.mtu_payload;
+    p.wire = wire_.data_wire();
+    p.sent_at = sim_.now();
+    outstanding_[seq] = sim_.now();
+    if (retransmission) ++stats_.retransmits;
+    (void)send_(std::move(p));
+  }
+
+  void check_rto() {
+    const TimePs deadline = std::max((srtt_ == TimePs(0) ? 20_us : srtt_) * 4, 1_ms);
+    int budget = 4;
+    for (auto& [seq, sent_at] : outstanding_) {
+      if (budget == 0) break;
+      if (sim_.now() - sent_at > deadline) {
+        ++stats_.rto_fires;
+        emit(seq, /*retransmission=*/true);
+        --budget;
+      }
+    }
+    try_send();
+  }
+
+  sim::Simulator& sim_;
+  net::WireFormat wire_;
+  std::size_t window_;
+  SenderFlow::SendFn send_;
+  std::int64_t next_seq_ = 0;
+  std::int64_t pending_ = 0;
+  std::map<std::int64_t, TimePs> outstanding_;
+  std::int64_t highest_acked_ = -1;
+  TimePs srtt_{};
+  FlowStats stats_;
+  sim::PeriodicTask scan_;
+};
+
+/// One transmission: when, which seq, and the RTOs fired by then.
+struct Transmission {
+  TimePs at;
+  std::int64_t seq;
+  std::int64_t rto_fires;
+  bool operator==(const Transmission&) const = default;
+};
+
+/// Reads arrive at `requests` (time, packets); every transmission whose
+/// index is in `drops` is lost, the rest are acknowledged 20 us later.
+/// Returns each transmission in order.
+template <typename Flow, typename Make>
+std::vector<Transmission> run_scan_scenario(
+    Make make, const std::vector<std::pair<TimePs, std::int64_t>>& requests,
+    const std::vector<int>& drops, sim::Simulator& sim) {
+  std::vector<Transmission> log;
+  std::unique_ptr<Flow> flow;
+  flow = make([&](net::Packet p) {
+    const int index = static_cast<int>(log.size());
+    log.push_back({sim.now(), p.seq, flow->stats().rto_fires});
+    if (std::find(drops.begin(), drops.end(), index) != drops.end()) return true;
+    net::Packet ack;
+    ack.kind = net::PacketKind::kAck;
+    ack.seq = p.seq;
+    ack.sent_at = p.sent_at;
+    sim.after(20_us, [&flow, ack] { flow->on_ack(ack); });
+    return true;
+  });
+  for (const auto& [at, packets] : requests) {
+    sim.at(at, [&flow, n = packets] { flow->enqueue_packets(n); });
+  }
+  sim.run_until(12_ms);
+  return log;
+}
+
+TEST(SenderFlow, ScansKeepTheirGridAcrossIdleGaps) {
+  // The flow is created at 0, so scans sit on the 250 us grid. Each
+  // burst loses one transmission and waits out the 1 ms RTO; the scan
+  // after its retransmission is ACKed finds the flow idle and builds
+  // no successor. The bursts wake the flow:
+  //  - at 250 us, just after the unbuilt 250 us slot passed (it was
+  //    reserved before this read was scheduled): rearmed at 500;
+  //  - at 1800 us, before the 2000 us slot the idle 1750 scan
+  //    reserved: that slot is built;
+  //  - at 3600 us, past the 3500 us slot: rearmed at 3750;
+  //  - at 5250 us, the instant of its reserved slot, which sorts after
+  //    this read: that slot is built;
+  //  - at 9000 us, many periods past its 7000 us slot: rearmed at 9250.
+  const std::vector<std::pair<TimePs, std::int64_t>> requests = {
+      {250_us, 4}, {1800_us, 1}, {3600_us, 2}, {5250_us, 3}, {9000_us, 2}};
+  // Transmission indices to lose: seq 1 of the first burst, the lone
+  // packet of the second, the first of the third, the last of the
+  // fourth and the first of the fifth.
+  const std::vector<int> drops = {1, 5, 7, 12, 14};
+  const net::WireFormat wire;
+
+  sim::Simulator lazy_sim;
+  const auto lazy = run_scan_scenario<SenderFlow>(
+      [&](SenderFlow::SendFn send) {
+        return std::make_unique<SenderFlow>(lazy_sim, 0, 0, wire,
+                                            std::make_unique<FlowHarness::FixedCc>(2.0),
+                                            std::move(send), Rng(0xf10f));
+      },
+      requests, drops, lazy_sim);
+  sim::Simulator periodic_sim;
+  const auto periodic = run_scan_scenario<PeriodicScanFlow>(
+      [&](SenderFlow::SendFn send) {
+        return std::make_unique<PeriodicScanFlow>(periodic_sim, wire, 2.0, std::move(send));
+      },
+      requests, drops, periodic_sim);
+
+  ASSERT_EQ(lazy.size(), periodic.size());
+  for (std::size_t i = 0; i < lazy.size(); ++i) {
+    EXPECT_EQ(lazy[i], periodic[i]) << "transmission " << i << ": " << lazy[i].at.us()
+                                    << " us seq " << lazy[i].seq << " vs "
+                                    << periodic[i].at.us() << " us seq " << periodic[i].seq;
+  }
+  // Every loss was recovered by an RTO (no burst reorders enough for a
+  // fast retransmit).
+  EXPECT_EQ(lazy.back().rto_fires, static_cast<std::int64_t>(drops.size()));
+  // Only the scans from each wake to the first idle one were built:
+  // 500-1750, 2000-3250, 3750-5000, 5250-6750 and 9250-10500, 31 in
+  // all, beside 5 reads and 12 ACKs. The periodic flow ran all 48
+  // grid points up to 12 ms.
+  EXPECT_EQ(lazy_sim.executed(), 5u + 12u + 31u);
+  EXPECT_EQ(periodic_sim.executed(), 5u + 12u + 48u);
 }
 
 // -------------------------------------------------------- SenderHost
