@@ -46,4 +46,22 @@ double LogHistogram::percentile(double p) const {
   return max_;
 }
 
+std::pair<double, double> LogHistogram::percentiles(double lo, double hi) const {
+  if (total_ == 0) return {0.0, 0.0};
+  const double rank_lo = lo / 100.0 * static_cast<double>(total_ - 1);
+  const double rank_hi = hi / 100.0 * static_cast<double>(total_ - 1);
+  double at_lo = max_;
+  bool found_lo = false;
+  std::int64_t seen = 0;
+  for (int b = 0; b < kBucketCount; ++b) {
+    seen += buckets_[static_cast<std::size_t>(b)];
+    if (!found_lo && static_cast<double>(seen) > rank_lo) {
+      at_lo = bucket_value(b);
+      found_lo = true;
+    }
+    if (static_cast<double>(seen) > rank_hi) return {at_lo, bucket_value(b)};
+  }
+  return {at_lo, max_};
+}
+
 }  // namespace hicc

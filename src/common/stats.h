@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -56,6 +57,10 @@ class LogHistogram {
   /// Percentile in [0, 100]; returns the representative value of the
   /// bucket containing that rank (0 if the histogram is empty).
   [[nodiscard]] double percentile(double p) const;
+
+  /// {percentile(lo), percentile(hi)} for lo <= hi, bit for bit, from
+  /// one scan of the buckets.
+  [[nodiscard]] std::pair<double, double> percentiles(double lo, double hi) const;
 
   [[nodiscard]] std::int64_t count() const { return total_; }
   [[nodiscard]] double mean() const {

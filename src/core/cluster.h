@@ -207,6 +207,10 @@ class ClusterExperiment {
   [[nodiscard]] host::ReceiverHost& receiver(int r) { return *groups_[static_cast<std::size_t>(r)].host.receiver; }
   [[nodiscard]] int num_receivers() const { return receivers_; }
   [[nodiscard]] int num_sender_hosts() const { return senders_per_receiver_; }
+  /// Sender machine num_receivers()+s's transport serving receiver r.
+  [[nodiscard]] const transport::SenderHost& sender_port(int s, int r) const {
+    return *sender_ports_[static_cast<std::size_t>(s)][static_cast<std::size_t>(r)];
+  }
   /// Null unless config().faults is non-empty.
   [[nodiscard]] fault::FaultEngine* fault_engine() { return fault_engine_.get(); }
   /// Receiver r's open-loop engine; null unless config().workload is

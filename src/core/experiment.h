@@ -66,6 +66,10 @@ class Experiment {
   [[nodiscard]] mem::MemorySystem& remote_memory() { return *remote_mem_; }
   [[nodiscard]] host::ReceiverHost& receiver() { return *receiver_; }
   [[nodiscard]] mem::StreamAntagonist& antagonist() { return *antagonist_; }
+  /// Sender i's transport, i < config().num_senders.
+  [[nodiscard]] const transport::SenderHost& sender(int i) const {
+    return *senders_[static_cast<std::size_t>(i)];
+  }
   /// The fault engine; null unless config().faults is non-empty.
   [[nodiscard]] fault::FaultEngine* fault_engine() { return fault_engine_.get(); }
   [[nodiscard]] const ExperimentConfig& config() const { return cfg_; }

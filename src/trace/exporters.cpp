@@ -11,8 +11,12 @@ void append_double(std::string& row, double v) {
   row.append(buf, format_double(buf, v));
 }
 
-void write_row(std::ostream& os, const std::string& row) {
-  os.write(row.data(), static_cast<std::streamsize>(row.size()));
+/// Hands the buffered rows to the stream in one write and empties the
+/// buffer (keeping its capacity for the next pass).
+void write_pass(std::ostream& os, std::string& pass) {
+  if (pass.empty()) return;
+  os.write(pass.data(), static_cast<std::streamsize>(pass.size()));
+  pass.clear();
 }
 
 /// The category shown in the Chrome trace viewer: the probe name's
@@ -32,16 +36,20 @@ void CsvTraceWriter::begin(const std::vector<ProbeInfo>& probes) {
 }
 
 void CsvTraceWriter::sample(const ProbeInfo& probe, TimePs t, double value) {
-  row_ = time_.format(t);
-  row_ += ',';
-  row_ += probe.name;
-  row_ += ',';
-  append_double(row_, value);
-  row_ += '\n';
-  write_row(os_, row_);
+  pass_ += time_.format(t);
+  pass_ += ',';
+  pass_ += probe.name;
+  pass_ += ',';
+  append_double(pass_, value);
+  pass_ += '\n';
 }
 
-void CsvTraceWriter::end() { os_.flush(); }
+void CsvTraceWriter::end_pass() { write_pass(os_, pass_); }
+
+void CsvTraceWriter::end() {
+  write_pass(os_, pass_);
+  os_.flush();
+}
 
 void ChromeTraceWriter::begin(const std::vector<ProbeInfo>& probes) {
   (void)probes;
@@ -54,23 +62,25 @@ void ChromeTraceWriter::begin(const std::vector<ProbeInfo>& probes) {
 }
 
 void ChromeTraceWriter::sample(const ProbeInfo& probe, TimePs t, double value) {
-  row_ = first_event_ ? "\n" : ",\n";
+  pass_ += first_event_ ? "\n" : ",\n";
   first_event_ = false;
-  row_ += " {\"name\": \"";
-  row_ += probe.name;
-  row_ += "\", \"cat\": \"";
-  row_ += category_of(probe.name);
-  row_ += "\", \"ph\": \"C\", \"ts\": ";
-  row_ += time_.format(t);
-  row_ += ", \"pid\": 1, \"tid\": 1, \"args\": {\"";
-  row_ += probe.unit;
-  row_ += "\": ";
-  append_double(row_, value);
-  row_ += "}}";
-  write_row(os_, row_);
+  pass_ += " {\"name\": \"";
+  pass_ += probe.name;
+  pass_ += "\", \"cat\": \"";
+  pass_ += category_of(probe.name);
+  pass_ += "\", \"ph\": \"C\", \"ts\": ";
+  pass_ += time_.format(t);
+  pass_ += ", \"pid\": 1, \"tid\": 1, \"args\": {\"";
+  pass_ += probe.unit;
+  pass_ += "\": ";
+  append_double(pass_, value);
+  pass_ += "}}";
 }
 
+void ChromeTraceWriter::end_pass() { write_pass(os_, pass_); }
+
 void ChromeTraceWriter::end() {
+  write_pass(os_, pass_);
   os_ << "\n]}\n";
   os_.flush();
 }

@@ -12,9 +12,10 @@
 //    https://ui.perfetto.dev with one named track per probe.
 //
 // Both writers stream: each sample is formatted as it arrives into one
-// reused row buffer and reaches the ostream in a single write; nothing
-// is buffered beyond that row. Doubles use round-trip formatting
-// (common/fmt.h) so outputs are bitwise-stable across runs.
+// reused pass buffer, and a sampling pass's rows reach the ostream in a
+// single write at end_pass(); nothing is buffered beyond that pass.
+// Doubles use round-trip formatting (common/fmt.h) so outputs are
+// bitwise-stable across runs.
 #pragma once
 
 #include <cstddef>
@@ -55,12 +56,13 @@ class CsvTraceWriter final : public TraceSink {
 
   void begin(const std::vector<ProbeInfo>& probes) override;
   void sample(const ProbeInfo& probe, TimePs t, double value) override;
+  void end_pass() override;
   void end() override;
 
  private:
   std::ostream& os_;
   SampleTimeText time_;
-  std::string row_;
+  std::string pass_;
 };
 
 /// Chrome trace_event JSON writer: one counter track per probe.
@@ -70,12 +72,13 @@ class ChromeTraceWriter final : public TraceSink {
 
   void begin(const std::vector<ProbeInfo>& probes) override;
   void sample(const ProbeInfo& probe, TimePs t, double value) override;
+  void end_pass() override;
   void end() override;
 
  private:
   std::ostream& os_;
   SampleTimeText time_;
-  std::string row_;
+  std::string pass_;
   bool first_event_ = true;
 };
 

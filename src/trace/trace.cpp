@@ -1,6 +1,6 @@
 #include "trace/trace.h"
 
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace hicc::trace {
@@ -19,6 +19,15 @@ std::string host_prefix(int host) { return "host" + std::to_string(host) + "."; 
 std::string host_probe(int host, const std::string& name) {
   return host_prefix(host) + name;
 }
+
+namespace {
+
+[[noreturn]] void throw_kind_mismatch(const std::string& name, Kind registered, Kind requested) {
+  throw std::logic_error("trace probe '" + name + "' registered as " + to_string(registered) +
+                         ", re-registered as " + to_string(requested));
+}
+
+}  // namespace
 
 std::vector<RecordingSink::Sample> RecordingSink::of(const std::string& probe) const {
   std::vector<Sample> out;
@@ -57,7 +66,7 @@ ProbeId Tracer::intern(std::string name, Kind kind, std::string unit,
     if (catalog_[i].name == name) {
       // Get-or-create: instances sharing a metric share the series.
       // The kind must agree; the first registrant's poll wins.
-      assert(catalog_[i].kind == kind);
+      if (catalog_[i].kind != kind) throw_kind_mismatch(name, catalog_[i].kind, kind);
       return ProbeId{static_cast<std::int32_t>(i)};
     }
   }
@@ -117,18 +126,22 @@ void Tracer::sample_now() {
   const TimePs t = sim_.now();
   for (std::size_t i = 0; i < probes_.size(); ++i) {
     Probe& p = probes_[i];
-    if (p.hist != nullptr && p.derived >= 0) {
+    if (p.hist != nullptr && p.derived >= 0 && p.hist->count() != p.refreshed_count) {
       // Refresh the derived series before the loop reaches them (they
       // were registered right after their parent). Done even without a
-      // sink so sweep harvesting sees current percentiles.
-      probes_[static_cast<std::size_t>(p.derived)].value = p.hist->percentile(50);
-      probes_[static_cast<std::size_t>(p.derived) + 1].value = p.hist->percentile(99);
+      // sink so sweep harvesting sees current percentiles. Histograms
+      // only grow, so an unchanged count means unchanged series.
+      p.refreshed_count = p.hist->count();
+      const auto [p50, p99] = p.hist->percentiles(50, 99);
+      probes_[static_cast<std::size_t>(p.derived)].value = p50;
+      probes_[static_cast<std::size_t>(p.derived) + 1].value = p99;
       probes_[static_cast<std::size_t>(p.derived) + 2].value =
-          static_cast<double>(p.hist->count());
+          static_cast<double>(p.refreshed_count);
     }
     if (!p.emit || sink_ == nullptr) continue;
     sink_->sample(catalog_[i], t, p.poll ? p.poll() : p.value);
   }
+  if (sink_ != nullptr) sink_->end_pass();
 }
 
 void Tracer::finish() {

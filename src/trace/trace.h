@@ -108,6 +108,9 @@ class TraceSink {
   /// only their derived gauge/counter series are emitted.
   virtual void sample(const ProbeInfo& probe, TimePs t, double value) = 0;
 
+  /// Called after the last sample() of each sampling pass.
+  virtual void end_pass() {}
+
   /// Called once by Tracer::finish() after the final sampling pass.
   virtual void end() {}
 };
@@ -184,6 +187,8 @@ class Tracer {
   /// so instances sharing a metric share a series) a cumulative
   /// counter. With `poll`, the sampler reads the callback at each tick
   /// and the hot path is untouched; without it, feed via add().
+  /// Throws std::logic_error when `name` is already registered with
+  /// another kind (by any of counter(), gauge() and histogram()).
   ProbeId counter(std::string name, std::string unit, std::function<double()> poll = nullptr);
 
   /// Registers an instantaneous gauge; polled or fed via set().
@@ -242,6 +247,12 @@ class Tracer {
   /// their observation count.
   [[nodiscard]] double value_at(std::size_t i) const;
 
+  /// The distribution behind catalog entry `i`, or null unless the
+  /// entry is a histogram parent.
+  [[nodiscard]] const LogHistogram* histogram_at(std::size_t i) const {
+    return probes_[i].hist.get();
+  }
+
   /// Looks up a probe by exact name.
   [[nodiscard]] std::optional<ProbeId> find(const std::string& name) const;
 
@@ -253,6 +264,7 @@ class Tracer {
     std::function<double()> poll;        // optional state reader
     std::unique_ptr<LogHistogram> hist;  // kHistogram only
     std::int32_t derived = -1;           // index of the .p50 entry
+    std::int64_t refreshed_count = 0;    // hist->count() the derived series show
     bool emit = true;                    // histogram parents: false
   };
 

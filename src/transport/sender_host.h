@@ -7,12 +7,13 @@
 // NIC/PCIe/IOMMU datapath.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <memory_resource>
 #include <utility>
+#include <vector>
 
 #include "net/packet.h"
 #include "sim/simulator.h"
@@ -27,14 +28,19 @@ class SenderHost {
              SenderFlow::SendFn send, Rng rng)
       : sim_(sim), id_(id), wire_(wire), send_(std::move(send)), rng_(rng) {}
 
+  /// The flows, in ascending id order.
+  using FlowList = std::vector<std::pair<std::int32_t, std::unique_ptr<SenderFlow>>>;
+
   [[nodiscard]] std::int32_t id() const { return id_; }
 
-  /// Creates the sender side of flow `flow_id` with controller `cc`.
+  /// Creates the sender side of flow `flow_id` with controller `cc`
+  /// (or returns the existing one, discarding the new flow).
   SenderFlow& add_flow(std::int32_t flow_id, std::unique_ptr<CongestionControl> cc) {
     auto flow = std::make_unique<SenderFlow>(sim_, flow_id, id_, wire_, std::move(cc),
                                              send_, rng_.fork(), &scoreboard_nodes_);
-    auto [it, inserted] = flows_.emplace(flow_id, std::move(flow));
-    return *it->second;
+    const auto it = std::ranges::lower_bound(flows_, flow_id, {}, &FlowList::value_type::first);
+    if (it != flows_.end() && it->first == flow_id) return *it->second;
+    return *flows_.emplace(it, flow_id, std::move(flow))->second;
   }
 
   /// Flow lifecycle hook for dynamic workloads: when set, a read
@@ -46,13 +52,10 @@ class SenderHost {
   using FlowFactory = std::function<std::unique_ptr<CongestionControl>(std::int32_t)>;
   void set_flow_factory(FlowFactory factory) { factory_ = std::move(factory); }
 
-  /// Retire hook: drops a flow's sender-side state entirely (pending
-  /// queue, SACK scoreboard, controller). Returns false if the flow id
-  /// is unknown.
-  bool remove_flow(std::int32_t flow_id) { return flows_.erase(flow_id) > 0; }
-
-  [[nodiscard]] bool has_flow(std::int32_t flow_id) const {
-    return flows_.count(flow_id) > 0;
+  /// The sender side of flow `flow_id`, or null if it does not exist.
+  [[nodiscard]] SenderFlow* find_flow(std::int32_t flow_id) {
+    const auto it = std::ranges::lower_bound(flows_, flow_id, {}, &FlowList::value_type::first);
+    return it != flows_.end() && it->first == flow_id ? it->second.get() : nullptr;
   }
 
   /// Handles a packet arriving from the fabric: a read request queues
@@ -64,20 +67,19 @@ class SenderHost {
       on_host_signal();
       return;
     }
-    auto it = flows_.find(p.flow);
-    if (it == flows_.end()) {
+    SenderFlow* target = find_flow(p.flow);
+    if (target == nullptr) {
       if (!factory_ || p.kind != net::PacketKind::kReadRequest) return;
-      add_flow(p.flow, factory_(p.flow));
-      it = flows_.find(p.flow);
+      target = &add_flow(p.flow, factory_(p.flow));
     }
     switch (p.kind) {
       case net::PacketKind::kReadRequest:
         // The request's payload field carries the read size.
-        it->second->enqueue_packets(
+        target->enqueue_packets(
             std::max<std::int64_t>(1, p.payload.count() / wire_.mtu_payload.count()));
         break;
       case net::PacketKind::kAck:
-        it->second->on_ack(p);
+        target->on_ack(p);
         break;
       case net::PacketKind::kData:
       case net::PacketKind::kHostSignal:  // handled above
@@ -86,15 +88,16 @@ class SenderHost {
   }
 
   /// Fans an out-of-band host congestion signal to every flow.
-  /// flows_ is an ordered map so this fan-out (which mutates cwnd and
+  /// flows_ is ordered by id so this fan-out (which mutates cwnd and
   /// may schedule sends) visits flows in a stdlib-independent order.
   void on_host_signal() {
     for (auto& [id, flow] : flows_) flow->on_host_signal();
   }
 
-  [[nodiscard]] const std::map<std::int32_t, std::unique_ptr<SenderFlow>>& flows() const {
-    return flows_;
-  }
+  /// Every flow in ascending id order. A flat array rather than a
+  /// tree, so the per-sample `transport.cwnd_avg` walk over every
+  /// flow streams through memory instead of chasing nodes.
+  [[nodiscard]] const FlowList& flows() const { return flows_; }
 
  private:
   sim::Simulator& sim_;
@@ -112,7 +115,7 @@ class SenderHost {
   /// before `flows_` so it outlives them.
   std::pmr::unsynchronized_pool_resource scoreboard_nodes_{
       std::pmr::pool_options{.max_blocks_per_chunk = 0, .largest_required_pool_block = 64}};
-  std::map<std::int32_t, std::unique_ptr<SenderFlow>> flows_;
+  FlowList flows_;
 };
 
 }  // namespace hicc::transport

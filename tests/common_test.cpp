@@ -6,10 +6,12 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/fmt.h"
 #include "common/ring.h"
@@ -267,6 +269,45 @@ TEST(LogHistogram, EmptyPercentileIsZero) {
   EXPECT_DOUBLE_EQ(h.percentile(99), 0.0);
 }
 
+// The one-scan pair the tracer's .p50/.p99 series read must equal two
+// percentile() scans bit for bit, wherever the ranks fall.
+void expect_pair_matches_two_scans(const LogHistogram& h) {
+  for (const auto& [lo, hi] : {std::pair{50.0, 99.0}, std::pair{0.0, 100.0},
+                              std::pair{25.0, 75.0}, std::pair{99.0, 99.0}}) {
+    const auto [at_lo, at_hi] = h.percentiles(lo, hi);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(at_lo), std::bit_cast<std::uint64_t>(h.percentile(lo)))
+        << "p" << lo << " of " << h.count();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(at_hi), std::bit_cast<std::uint64_t>(h.percentile(hi)))
+        << "p" << hi << " of " << h.count();
+  }
+}
+
+TEST(LogHistogram, PercentilePairMatchesTwoScans) {
+  expect_pair_matches_two_scans(LogHistogram{});
+
+  LogHistogram single_bucket;
+  for (int i = 0; i < 100; ++i) single_bucket.add(777.0);
+  expect_pair_matches_two_scans(single_bucket);
+
+  LogHistogram below_one;  // every value lands in bucket 0
+  for (int i = 0; i < 10; ++i) below_one.add(0.1 * i);
+  expect_pair_matches_two_scans(below_one);
+
+  LogHistogram clamped;  // 2^40 and beyond share the top bucket
+  clamped.add(1.0);
+  for (int i = 0; i < 5; ++i) clamped.add(0x1p40 * (i + 1));
+  expect_pair_matches_two_scans(clamped);
+
+  Rng rng(0x9a1f);
+  for (int trial = 0; trial < 200; ++trial) {
+    LogHistogram h;
+    const int n = static_cast<int>(rng.below(400));
+    const double scale = std::ldexp(1.0, static_cast<int>(rng.below(44)));
+    for (int i = 0; i < n; ++i) h.add(rng.uniform(-0.5, 1.0) * scale);
+    expect_pair_matches_two_scans(h);
+  }
+}
+
 TEST(RateMeter, MeasuresOverWindow) {
   RateMeter m;
   m.reset(1_ms);
@@ -349,6 +390,14 @@ void expect_matches_reference(double v) {
   EXPECT_EQ(got.str(), want.str()) << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
 }
 
+/// `v`, its neighbours one ulp away and the negations of all three.
+void expect_neighbourhood_matches_reference(double v) {
+  for (const double x : {v, std::nextafter(v, -HUGE_VAL), std::nextafter(v, HUGE_VAL)}) {
+    expect_matches_reference(x);
+    expect_matches_reference(-x);
+  }
+}
+
 TEST(FormatDouble, MatchesReferenceOnEdgeValues) {
   using Limits = std::numeric_limits<double>;
   // Each value and its negation: +-0, +-inf and +-nan among them.
@@ -359,6 +408,21 @@ TEST(FormatDouble, MatchesReferenceOnEdgeValues) {
   for (const double v : {DBL_MIN, DBL_MAX, 1e15, 1e16, 1e17, 1e-5, 1.0 / 3.0}) {
     expect_matches_reference(v);
   }
+  // The integer fast path's bounds (|v| < 1e15) and 2^53, with their
+  // neighbours; DBL_MIN's neighbours straddle the subnormal boundary.
+  for (const double v : {1e15 - 1, 1e15, 0x1p53 - 1, 0x1p53, 0x1p53 + 2, 1.0, 12345.0, DBL_MIN}) {
+    expect_neighbourhood_matches_reference(v);
+  }
+  // Shortest round-trip forms of exactly 15, 16 and 17 digits.
+  for (const double v : {12345.6789012345, 1.0 / 3.0, 0.1 + 0.2}) {
+    expect_neighbourhood_matches_reference(v);
+  }
+  // Every power of ten and of two: the shortest-digits fast path must
+  // step aside for powers of two (their lower neighbour is half as far).
+  for (int k = -320; k <= 308; ++k) {
+    expect_neighbourhood_matches_reference(std::strtod(("1e" + std::to_string(k)).c_str(), nullptr));
+  }
+  for (int k = -1074; k <= 1023; ++k) expect_neighbourhood_matches_reference(std::ldexp(1.0, k));
   // The forms themselves, so a bug shared with the reference shows too.
   EXPECT_EQ(formatted(-0.0), "-0");
   EXPECT_EQ(formatted(-Limits::quiet_NaN()), "-nan");
@@ -368,6 +432,13 @@ TEST(FormatDouble, MatchesReferenceOnEdgeValues) {
   EXPECT_EQ(formatted(0.1), "0.1");
   EXPECT_EQ(formatted(1.0 / 3.0), "0.3333333333333333");
   EXPECT_EQ(formatted(DBL_MAX), "1.7976931348623157e+308");
+  EXPECT_EQ(formatted(-12345.0), "-12345");
+  EXPECT_EQ(formatted(1e15 - 1), "999999999999999");
+  EXPECT_EQ(formatted(0x1p53 - 1), "9007199254740991");
+  EXPECT_EQ(formatted(12345.6789012345), "12345.6789012345");
+  EXPECT_EQ(formatted(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(formatted(1.5e-7), "1.5e-07");
+  EXPECT_EQ(formatted(0x1p-1017), "7.1202363472230444e-307");
 }
 
 // 1M random bit patterns in four seeded shards, so the suite can run
@@ -380,6 +451,25 @@ TEST_P(FormatDoubleRandomBits, MatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, FormatDoubleRandomBits, ::testing::Values(1, 2, 3, 4));
+
+// Random bit patterns are almost never integers or of the magnitudes
+// probes emit: uniform(0, 1) scaled by 10^k, k in [-30, 30], covers
+// both fast paths where the values live.
+class FormatDoubleDecimalScaled : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FormatDoubleDecimalScaled, MatchesReference) {
+  Rng rng(GetParam());
+  int k = -30;
+  EXPECT_EQ(count_mismatches(244'000,
+                             [&] {
+                               const double v = rng.uniform() * std::pow(10.0, k);
+                               k = k == 30 ? -30 : k + 1;
+                               return v;
+                             }),
+            0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, FormatDoubleDecimalScaled, ::testing::Values(1, 2));
 
 // Trace times are picoseconds / 1e6: 5 us sampler ticks, and arbitrary
 // instants at every magnitude from 10 ps to 1000 s of simulated time.

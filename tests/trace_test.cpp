@@ -5,11 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/cluster.h"
 #include "core/experiment.h"
 #include "fault/script.h"
 #include "fmt_reference.h"
@@ -83,6 +89,24 @@ TEST(Tracer, RegistrationIsGetOrCreateByName) {
   tracer.add(a, 3);
   tracer.add(b, 2);
   EXPECT_DOUBLE_EQ(tracer.value_at(static_cast<std::size_t>(a.index)), 5.0);
+}
+
+// The kind check is a thrown error, not an assert, so the shipping
+// build (NDEBUG) cannot hand a counter's id to observe().
+TEST(Tracer, KindMismatchOnReregistrationThrows) {
+  sim::Simulator sim;
+  Tracer tracer(sim);
+  tracer.counter("x", "events");
+  const std::size_t size = tracer.probes().size();
+  EXPECT_THROW(tracer.histogram("x", "us"), std::logic_error);
+  EXPECT_THROW(tracer.gauge("x", "events"), std::logic_error);
+  EXPECT_EQ(tracer.probes().size(), size);  // no derived series on the counter
+  tracer.histogram("h", "us");
+  EXPECT_THROW(tracer.counter("h", "us"), std::logic_error);
+  EXPECT_THROW(tracer.counter("h.p50", "us"), std::logic_error);
+  const Tracer::ScopedPrefix prefix(&tracer, "host1.");
+  tracer.gauge("x", "events");  // host1.x: another name, another series
+  EXPECT_THROW(tracer.counter("x", "events"), std::logic_error);
 }
 
 TEST(Tracer, FindLooksUpByExactName) {
@@ -455,6 +479,10 @@ class TeeSink final : public TraceSink {
     a_.sample(probe, t, value);
     b_.sample(probe, t, value);
   }
+  void end_pass() override {
+    a_.end_pass();
+    b_.end_pass();
+  }
   void end() override {
     a_.end();
     b_.end();
@@ -503,6 +531,127 @@ TEST(TracedExperiment, CsvWriterMatchesReferenceByteForByte) {
 
 TEST(TracedExperiment, ChromeWriterMatchesReferenceByteForByte) {
   expect_writer_matches_reference<ChromeTraceWriter, ReferenceChromeWriter>();
+}
+
+// ---------------------------------------------- probe value identity
+
+/// Recomputes the samples whose cost the sampler works to avoid, the
+/// slow way, as they arrive: transport.cwnd_avg by an id-keyed map per
+/// sender machine, and every .p50/.p99 by its own percentile() scan.
+/// Other probes pass through unchecked.
+class ProbeRecomputeSink final : public TraceSink {
+ public:
+  /// `senders` lists every sender-side transport in the order the
+  /// gauge sums them (sender machine, then receiver).
+  ProbeRecomputeSink(const Tracer& tracer,
+                     std::vector<const transport::SenderHost*> senders)
+      : tracer_(tracer), senders_(std::move(senders)) {}
+
+  void sample(const ProbeInfo& probe, TimePs t, double value) override {
+    double want = 0.0;
+    if (probe.name == "transport.cwnd_avg") {
+      want = cwnd_avg();
+    } else if (probe.name.ends_with(".p50") || probe.name.ends_with(".p99")) {
+      const std::string parent = probe.name.substr(0, probe.name.size() - 4);
+      const LogHistogram* hist =
+          tracer_.histogram_at(static_cast<std::size_t>(tracer_.find(parent)->index));
+      ASSERT_NE(hist, nullptr) << parent;
+      want = hist->percentile(probe.name.ends_with(".p50") ? 50 : 99);
+    } else {
+      return;
+    }
+    ++checked_;
+    if (std::bit_cast<std::uint64_t>(value) != std::bit_cast<std::uint64_t>(want) &&
+        ++mismatches_ <= 5) {
+      ADD_FAILURE() << probe.name << " at " << t.us() << " us: sampled " << value
+                    << ", recomputed " << want;
+    }
+  }
+
+  [[nodiscard]] std::int64_t checked() const { return checked_; }
+  [[nodiscard]] std::int64_t mismatches() const { return mismatches_; }
+
+ private:
+  [[nodiscard]] double cwnd_avg() const {
+    double sum = 0.0;
+    std::int64_t flows = 0;
+    for (const transport::SenderHost* sender : senders_) {
+      std::map<std::int32_t, double> by_id;
+      for (const auto& [id, flow] : sender->flows()) by_id.emplace(id, flow->cwnd());
+      for (const auto& [id, cwnd] : by_id) {
+        sum += cwnd;
+        ++flows;
+      }
+    }
+    return flows > 0 ? sum / static_cast<double>(flows) : 0.0;
+  }
+
+  const Tracer& tracer_;
+  std::vector<const transport::SenderHost*> senders_;
+  std::int64_t checked_ = 0;
+  std::int64_t mismatches_ = 0;
+};
+
+TEST(TracedExperiment, ProbeValuesMatchTestLocalRecompute) {
+  ExperimentConfig cfg = small_config();
+  cfg.trace.enabled = true;
+  const fault::ParseResult script = fault::parse_script("mem.antagonist@300us+200us,cores=15");
+  ASSERT_TRUE(script.ok());
+  cfg.faults = script.script;
+  Experiment exp(cfg);
+  std::vector<const transport::SenderHost*> senders;
+  for (int i = 0; i < cfg.num_senders; ++i) senders.push_back(&exp.sender(i));
+  ProbeRecomputeSink recompute(*exp.tracer(), senders);
+  std::ostringstream csv_text;
+  CsvTraceWriter csv(csv_text);
+  TeeSink tee(recompute, csv);
+  exp.tracer()->set_sink(&tee);
+  exp.run();
+  exp.tracer()->finish();
+  // cwnd_avg and three .p50/.p99 pairs in each of 142 passes: the
+  // baseline, one per 5 us to 700 us, and finish()'s.
+  EXPECT_EQ(recompute.checked(), 142 * 7);
+  EXPECT_EQ(recompute.mismatches(), 0);
+}
+
+// Open-loop flows are created mid-run by the flow factory, so the
+// gauge's flow set grows while the run samples it.
+void expect_cluster_probe_values_match(int parallelism) {
+  ClusterConfig cfg;
+  cfg.host.rx_threads = 2;
+  cfg.host.warmup = TimePs::from_us(200);
+  cfg.host.measure = TimePs::from_us(600);
+  cfg.host.trace.enabled = true;
+  cfg.topology.leaves = 2;
+  cfg.topology.spines = 2;
+  cfg.topology.hosts_per_leaf = 4;
+  cfg.receivers = 2;
+  cfg.parallelism = parallelism;
+  cfg.workload.pattern = workload::Pattern::kIncast;
+  cfg.workload.rate_per_s = 40e3;
+  cfg.workload.fanout = 3;
+  cfg.workload.max_active = 96;
+  cfg.workload.size_dist = workload::SizeDist::kFixed;
+  cfg.workload.fixed_size = Bytes(16 * 1024);
+  ClusterExperiment exp(cfg);
+  std::vector<const transport::SenderHost*> senders;
+  for (int s = 0; s < exp.num_sender_hosts(); ++s) {
+    for (int r = 0; r < exp.num_receivers(); ++r) senders.push_back(&exp.sender_port(s, r));
+  }
+  ProbeRecomputeSink recompute(*exp.tracer(), senders);
+  exp.tracer()->set_sink(&recompute);
+  exp.run();
+  exp.tracer()->finish();
+  std::size_t flows = 0;
+  for (const transport::SenderHost* sender : senders) flows += sender->flows().size();
+  EXPECT_GT(flows, 0u);  // the factory did create flows
+  EXPECT_GT(recompute.checked(), 100);
+  EXPECT_EQ(recompute.mismatches(), 0);
+}
+
+TEST(TracedExperiment, ClusterOpenLoopProbeValuesMatchTestLocalRecompute) {
+  expect_cluster_probe_values_match(1);
+  expect_cluster_probe_values_match(2);
 }
 
 // --------------------------------------------------- no perturbation

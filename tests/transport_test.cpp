@@ -510,7 +510,8 @@ TEST(SenderHost, ReadRequestEnqueuesPackets) {
   host.on_packet(req);
   // cwnd starts at 1: one packet in flight, 3 queued.
   EXPECT_EQ(sent.size(), 1u);
-  EXPECT_EQ(host.flows().at(7)->pending(), 3);
+  ASSERT_NE(host.find_flow(7), nullptr);
+  EXPECT_EQ(host.find_flow(7)->pending(), 3);
   EXPECT_EQ(sent[0].sender, 3);
 }
 
