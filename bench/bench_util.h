@@ -47,13 +47,6 @@ inline bool smoke() {
 /// Sample-count helper: the full figure's count, or the smoke-run one.
 inline int samples(int full, int reduced) { return smoke() ? reduced : full; }
 
-/// Runs one configuration serially and returns its metrics (kept for
-/// incremental/example use; figure benches go through sweep()).
-inline Metrics run(const ExperimentConfig& cfg) {
-  Experiment exp(cfg);
-  return exp.run();
-}
-
 /// Runs every configuration point on the sweep thread pool and returns
 /// index-ordered results. `probe` (optional) harvests extra subsystem
 /// counters per point while its Experiment is alive.

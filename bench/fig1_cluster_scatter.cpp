@@ -11,20 +11,13 @@
 //   1. drop rate is positively correlated with link utilization, and
 //   2. drops occur even at low utilization (memory-bus congestion),
 // and host drops must dominate fabric drops (loss lives at the host).
-//
-// Pass --monte-carlo for the legacy reproduction: a Monte-Carlo sweep
-// over independent randomized single-host experiments (kept for
-// comparison; the cluster mode exercises the real fabric, transport
-// retransmissions, and cross-receiver interference the sweep cannot).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/rng.h"
 #include "core/cluster.h"
 #include "workload/engine.h"
 
@@ -43,8 +36,7 @@ struct ScatterPoint {
 };
 
 /// Prints the scatter table, the figure-claim statistics, and the CSV.
-void report(std::vector<ScatterPoint> points, std::int64_t fabric_drops, double wall,
-            double serial_wall) {
+void report(std::vector<ScatterPoint> points, std::int64_t fabric_drops, double wall) {
   double max_drop = 0.0;
   for (const ScatterPoint& p : points) max_drop = std::max(max_drop, p.drop_rate);
 
@@ -84,13 +76,15 @@ void report(std::vector<ScatterPoint> points, std::int64_t fabric_drops, double 
               with_drops, low_util_with_drops);
   std::printf("fabric drops across the run: %lld (paper: loss lives at the hosts)\n",
               static_cast<long long>(fabric_drops));
-  std::printf("wall-clock: %.2fs across %d worker(s); serial equivalent: %.2fs\n\n", wall,
-              sweep::SweepRunner::resolve_jobs(0), serial_wall);
+  std::printf("wall-clock: %.2fs across %d worker(s)\n\n", wall,
+              sweep::SweepRunner::resolve_jobs(0));
 }
 
-/// Default mode: one Clos cluster, every receiver under open-loop
-/// bursty incast, scatter points harvested per (receiver, window).
-int run_cluster_mode() {
+}  // namespace
+
+/// One Clos cluster, every receiver under open-loop bursty incast,
+/// scatter points harvested per (receiver, window).
+int main() {
   bench::header(
       "Figure 1",
       "scatter of access-link utilization vs normalized host drop rate, one "
@@ -181,72 +175,6 @@ int run_cluster_mode() {
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  report(std::move(points), fabric_drops, wall, wall);
+  report(std::move(points), fabric_drops, wall);
   return 0;
-}
-
-/// Legacy mode (--monte-carlo): independent randomized single-host
-/// experiments on the sweep pool.
-int run_monte_carlo_mode() {
-  bench::header(
-      "Figure 1 (legacy Monte-Carlo mode)",
-      "scatter of access-link utilization vs normalized host drop "
-      "rate over randomized independent host configurations",
-      "positive correlation between utilization and drops; a distinct "
-      "population of low-utilization points with non-zero drops; zero fabric "
-      "drops (all loss is at hosts)");
-
-  const int kSamples = bench::samples(110, 12);
-  Rng rng(2022);  // deterministic sweep seed
-
-  std::vector<ExperimentConfig> cfgs;
-  cfgs.reserve(static_cast<std::size_t>(kSamples));
-  for (int i = 0; i < kSamples; ++i) {
-    ExperimentConfig cfg = bench::base_config();
-    cfg.warmup = TimePs::from_ms(bench::smoke() ? 2 : 8);
-    cfg.measure = TimePs::from_ms(bench::smoke() ? 4 : 12);
-    cfg.seed = 1000 + static_cast<std::uint64_t>(i);
-    cfg.rx_threads = static_cast<int>(rng.range(2, 16));
-    cfg.num_senders = static_cast<int>(rng.range(8, 40));
-    cfg.iommu_enabled = rng.chance(0.8);
-    cfg.hugepages = rng.chance(0.85);
-    cfg.data_region = Bytes::mib(static_cast<double>(rng.range(4, 16)));
-    // Most hosts run little antagonism; a tail runs heavy batch jobs.
-    cfg.antagonist_cores =
-        rng.chance(0.55) ? 0 : static_cast<int>(rng.range(4, 15));
-    cfgs.push_back(cfg);
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto results = bench::sweep(cfgs);
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-
-  std::int64_t fabric_drops = 0;
-  double per_point_wall = 0.0;
-  std::vector<ScatterPoint> points;
-  points.reserve(results.size());
-  for (const auto& r : results) {
-    fabric_drops += r.metrics.fabric_drops;
-    per_point_wall += r.wall_seconds;
-    ScatterPoint p;
-    p.window = 0;
-    p.host = static_cast<int>(r.index);
-    p.link_utilization = r.metrics.link_utilization;
-    p.drop_rate = r.metrics.drop_rate;
-    points.push_back(p);
-  }
-  bench::save_json(results, "fig1_cluster_scatter.json");
-  report(std::move(points), fabric_drops, wall, per_point_wall);
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--monte-carlo") == 0) return run_monte_carlo_mode();
-  }
-  return run_cluster_mode();
 }

@@ -1,101 +1,24 @@
 // Engine micro-benchmarks (google-benchmark): the hot paths that bound
 // how much simulated traffic per wall-second the harness can sustain.
-//
-// Doubles as the perf-regression harness: `--json=PATH` writes a
-// `hicc.bench.v1` JSON (ns/op, items/s, allocs/op, iterations) that CI
-// compares against the committed BENCH_ENGINE.json baseline — see
-// docs/PERFORMANCE.md for how to refresh it.
+// One suite of bench/micro_bench (micro_bench.h).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
-#include <fstream>
-#include <new>
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/fmt.h"
 #include "common/rng.h"
 #include "core/experiment.h"
 #include "iommu/lru_cache.h"
 #include "mem/memory_system.h"
+#include "micro_bench.h"
 #include "sim/simulator.h"
-
-// ---------------------------------------------------------------------------
-// Counting allocator hook: every global operator new bumps g_allocs, so each
-// benchmark can report exact heap allocations per iteration ("allocs_per_op").
-// Constant-initialized so it is valid before any static-init allocation.
-static std::atomic<std::uint64_t> g_allocs{0};
-
-static void* counted_alloc(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto align = static_cast<std::size_t>(a);
-  const std::size_t rounded = (n + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded ? rounded : align)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
 using namespace hicc;
 using namespace hicc::literals;
-
-/// Snapshot g_allocs around the timed loop and report the average as an
-/// `allocs_per_op` user counter (also picked up by the --json reporter).
-class AllocTally {
- public:
-  explicit AllocTally(benchmark::State& state)
-      : state_(state), start_(g_allocs.load(std::memory_order_relaxed)) {}
-  ~AllocTally() {
-    const std::uint64_t delta =
-        g_allocs.load(std::memory_order_relaxed) - start_;
-    state_.counters["allocs_per_op"] = benchmark::Counter(
-        static_cast<double>(delta), benchmark::Counter::kAvgIterations);
-  }
-
- private:
-  benchmark::State& state_;
-  std::uint64_t start_;
-};
-
-/// Pure-arithmetic calibration loop (no memory traffic). CI normalizes the
-/// engine benches against this so the regression threshold is comparable
-/// across machines of different speeds.
-void BM_ReferenceSpin(benchmark::State& state) {
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {  // splitmix64 finalizer, fixed work
-      x ^= x >> 30;
-      x *= 0xbf58476d1ce4e5b9ull;
-      x ^= x >> 27;
-      x *= 0x94d049bb133111ebull;
-      x ^= x >> 31;
-    }
-    benchmark::DoNotOptimize(x);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ReferenceSpin);
+using hicc::bench::AllocTally;
 
 /// Event queue: schedule + run one event (the per-TLP cost floor).
 void BM_SimulatorScheduleRun(benchmark::State& state) {
@@ -243,85 +166,4 @@ void BM_MemoryEpochSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_MemoryEpochSolve);
 
-// ---------------------------------------------------------------------------
-// `hicc.bench.v1` JSON output. A tee reporter keeps the normal console
-// output and collects one row per benchmark for --json=PATH.
-
-class JsonTeeReporter : public benchmark::ConsoleReporter {
- public:
-  struct Row {
-    std::string name;
-    double ns_per_op = 0;
-    double items_per_sec = 0;
-    double allocs_per_op = 0;
-    std::int64_t iterations = 0;
-  };
-
-  void ReportRuns(const std::vector<Run>& report) override {
-    for (const Run& r : report) {
-      if (r.run_type != Run::RT_Iteration || r.error_occurred) continue;
-      Row row;
-      row.name = r.benchmark_name();
-      const double iters =
-          r.iterations > 0 ? static_cast<double>(r.iterations) : 1.0;
-      row.ns_per_op = r.real_accumulated_time / iters * 1e9;
-      row.iterations = r.iterations;
-      if (auto it = r.counters.find("items_per_second"); it != r.counters.end())
-        row.items_per_sec = it->second;
-      if (auto it = r.counters.find("allocs_per_op"); it != r.counters.end())
-        row.allocs_per_op = it->second;
-      rows_.push_back(std::move(row));
-    }
-    ConsoleReporter::ReportRuns(report);
-  }
-
-  bool write_json(const std::string& path) const {
-    std::ofstream os(path);
-    if (!os) return false;
-    os << "{\"schema\": \"hicc.bench.v1\",\n\"benchmarks\": [\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const Row& r = rows_[i];
-      os << " {\"name\": \"" << r.name << "\", \"ns_per_op\": ";
-      put_double(os, r.ns_per_op);
-      os << ", \"items_per_sec\": ";
-      put_double(os, r.items_per_sec);
-      os << ", \"allocs_per_op\": ";
-      put_double(os, r.allocs_per_op);
-      os << ", \"iterations\": " << r.iterations << "}";
-      os << (i + 1 < rows_.size() ? ",\n" : "\n");
-    }
-    os << "]}\n";
-    return os.good();
-  }
-
- private:
-  std::vector<Row> rows_;
-};
-
 }  // namespace
-
-int main(int argc, char** argv) {
-  std::string json_path;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a.rfind("--json=", 0) == 0) {
-      json_path = std::string(a.substr(7));
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  int filtered_argc = static_cast<int>(args.size());
-  args.push_back(nullptr);
-  benchmark::Initialize(&filtered_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data()))
-    return 1;
-  JsonTeeReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  if (!json_path.empty() && !reporter.write_json(json_path)) {
-    std::fprintf(stderr, "micro_engine: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  return 0;
-}

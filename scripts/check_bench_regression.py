@@ -1,40 +1,35 @@
 #!/usr/bin/env python3
-"""Gate engine-bench regressions against the committed baseline.
+"""Gate micro-bench regressions against the committed baseline.
 
 Usage:
     check_bench_regression.py BASELINE.json CURRENT.json \
-        [--benchmark BM_SimulatorScheduleRun] [--threshold 0.25]
+        --benchmark BM_SimulatorScheduleRun [--benchmark BM_FlowChurn ...] \
+        [--threshold 0.25]
 
-Both files are bench records written by a micro-bench binary's
-`--json=PATH`: `hicc.bench.v1` from bench/micro_engine (baseline
-bench/BENCH_ENGINE.json), `hicc.bench.topology.v1` from
-bench/micro_topology (baseline bench/BENCH_TOPOLOGY.json), or
-`hicc.bench.parallel.v1` from bench/micro_parallel (baseline
-bench/BENCH_PARALLEL.json), or `hicc.bench.workload.v1` from
-bench/micro_workload (baseline bench/BENCH_WORKLOAD.json); see
-docs/PERFORMANCE.md. The two files must carry the same schema --
-comparing an engine run against a topology baseline is a tooling
-mistake, not a regression.
+Both files are google-benchmark JSON records, as bench/micro_bench
+writes them with `--benchmark_out=PATH`; the committed baseline is
+bench/BENCH_MICRO.json (docs/PERFORMANCE.md, "Micro-benchmarks").
 
-Raw ns/op is not comparable across machines -- CI runners and the
-machine that produced the committed baseline differ in clock speed,
-turbo behavior, and co-tenancy. Every micro_engine run therefore
+Raw time per iteration is not comparable across machines -- CI runners
+and the machine that produced the committed baseline differ in clock
+speed, turbo behavior, and co-tenancy. Every micro_bench run therefore
 includes BM_ReferenceSpin, a pure-ALU spin that measures the machine,
-not the engine. This script compares *normalized* cost,
+not the code. This script compares *normalized* cost,
 
-    rel = ns_per_op(target) / ns_per_op(BM_ReferenceSpin)
+    rel = real_time(target) / real_time(BM_ReferenceSpin)
 
-and fails when the current run's `rel` exceeds the baseline's by more
-than `--threshold` (default 25%).
+with each real_time converted to ns by its row's time_unit, and fails
+when a current row's `rel` exceeds the baseline's by more than
+`--threshold` (default 25%).
 
-The target benchmark's allocs_per_op is also gated: the zero-allocation
-steady state is a correctness property of the engine (see
-tests/sim_test.cpp SteadyStateIsAllocationFree), so any drift above
-the baseline + 0.01 fails regardless of speed.
+A row's allocs_per_op is gated too whenever the baseline row carries
+one (the row runs an AllocTally): the zero-allocation steady state is a
+correctness property (see tests/sim_test.cpp SteadyStateIsAllocationFree),
+so any drift above the baseline + 0.01 fails regardless of speed.
 
-Exit codes: 0 pass, 1 perf/alloc regression, 2 malformed or
-unknown-schema record (an environment/tooling problem, not a
-regression -- CI can distinguish "the engine got slower" from "the
+Exit codes: 0 pass, 1 perf/alloc regression, 2 malformed record or a
+missing or unusable row (an environment/tooling problem, not a
+regression -- CI can distinguish "the code got slower" from "the
 record is unreadable").
 """
 
@@ -43,107 +38,98 @@ import json
 import sys
 
 REFERENCE = "BM_ReferenceSpin"
-# Schema tag -> the binary that writes it. Both record shapes are
-# identical; the tag only says which bench family produced the rows.
-SCHEMAS = {
-    "hicc.bench.v1": "micro_engine",
-    "hicc.bench.topology.v1": "micro_topology",
-    "hicc.bench.parallel.v1": "micro_parallel",
-    "hicc.bench.workload.v1": "micro_workload",
-}
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 EXIT_REGRESSION = 1
 EXIT_BAD_RECORD = 2
 
 
-def bad_record(path, why, binary="micro_engine"):
+def bad_record(path, why):
     print(f"{path}: {why}\n"
           f"  This is a record problem, not a perf regression. Regenerate with\n"
-          f"    ./build/bench/{binary} --json={path}\n"
-          f"  If the schema was revved intentionally, update SCHEMAS in\n"
-          f"  scripts/check_bench_regression.py and re-record the committed\n"
-          f"  baseline (see docs/PERFORMANCE.md).", file=sys.stderr)
+          f"    ./build/bench/micro_bench --benchmark_out={path}",
+          file=sys.stderr)
     sys.exit(EXIT_BAD_RECORD)
 
 
 def load(path):
-    """Returns (schema, rows-by-name) for one bench record."""
+    """Returns the iteration rows of one google-benchmark record by name."""
     try:
         with open(path) as f:
             record = json.load(f)
-    except json.JSONDecodeError as e:
-        bad_record(path, f"not valid JSON ({e})")
-    if not isinstance(record, dict) or "schema" not in record:
-        bad_record(path, f"no 'schema' field; expected one of "
-                         f"{sorted(SCHEMAS)}")
-    schema = record["schema"]
-    if schema not in SCHEMAS:
-        bad_record(path, f"unknown schema {schema!r} "
-                         f"(this script understands {sorted(SCHEMAS)})")
-    binary = SCHEMAS[schema]
-    if not isinstance(record.get("benchmarks"), list):
-        bad_record(path, f"schema is {schema!r} but 'benchmarks' is missing "
-                         f"or not a list", binary)
-    rows = {row["name"]: row for row in record["benchmarks"]}
-    if not rows:
-        bad_record(path, "no benchmark rows", binary)
-    return schema, rows
+    except (OSError, json.JSONDecodeError) as e:
+        bad_record(path, f"not readable JSON ({e})")
+    if not isinstance(record, dict) or not isinstance(record.get("benchmarks"), list):
+        bad_record(path, "not a google-benchmark record (no 'benchmarks' list)")
+    return {row["name"]: row for row in record["benchmarks"]
+            if isinstance(row, dict) and "name" in row
+            and row.get("run_type", "iteration") == "iteration"
+            and not row.get("error_occurred", False)}
 
 
-def pick(rows, name, path):
+def ns_per_op(rows, name, path):
     if name not in rows:
-        sys.exit(f"{path}: benchmark {name!r} missing (have: {sorted(rows)})")
+        bad_record(path, f"benchmark {name!r} missing (have: {sorted(rows)})")
     row = rows[name]
-    if row["ns_per_op"] <= 0:
-        sys.exit(f"{path}: {name} has non-positive ns_per_op")
-    return row
+    unit = row.get("time_unit", "ns")
+    if unit not in NS_PER_UNIT:
+        bad_record(path, f"{name} has unknown time_unit {unit!r}")
+    t = row.get("real_time")
+    if not isinstance(t, (int, float)) or t <= 0:
+        bad_record(path, f"{name} has no positive real_time")
+    return t * NS_PER_UNIT[unit]
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline")
     ap.add_argument("current")
-    ap.add_argument("--benchmark", default="BM_SimulatorScheduleRun")
+    ap.add_argument("--benchmark", action="append", required=True,
+                    help="row to gate; repeat for several rows")
     ap.add_argument("--threshold", type=float, default=0.25,
-                    help="allowed fractional regression in normalized ns/op")
+                    help="allowed fractional regression in normalized time")
     args = ap.parse_args()
 
-    base_schema, base = load(args.baseline)
-    cur_schema, cur = load(args.current)
-    if base_schema != cur_schema:
-        bad_record(args.current,
-                   f"schema {cur_schema!r} does not match the baseline's "
-                   f"{base_schema!r} ({args.baseline})", SCHEMAS[cur_schema])
-
-    base_ref = pick(base, REFERENCE, args.baseline)
-    cur_ref = pick(cur, REFERENCE, args.current)
-    base_row = pick(base, args.benchmark, args.baseline)
-    cur_row = pick(cur, args.benchmark, args.current)
-
-    base_rel = base_row["ns_per_op"] / base_ref["ns_per_op"]
-    cur_rel = cur_row["ns_per_op"] / cur_ref["ns_per_op"]
-    ratio = cur_rel / base_rel
-
-    print(f"{args.benchmark}:")
-    print(f"  baseline: {base_row['ns_per_op']:8.2f} ns/op "
-          f"(ref {base_ref['ns_per_op']:.2f} ns -> rel {base_rel:.4f})")
-    print(f"  current:  {cur_row['ns_per_op']:8.2f} ns/op "
-          f"(ref {cur_ref['ns_per_op']:.2f} ns -> rel {cur_rel:.4f})")
-    print(f"  normalized ratio: {ratio:.3f} "
-          f"(fail above {1 + args.threshold:.3f})")
+    base = load(args.baseline)
+    cur = load(args.current)
+    base_ref = ns_per_op(base, REFERENCE, args.baseline)
+    cur_ref = ns_per_op(cur, REFERENCE, args.current)
+    # Every gated row must be readable on both sides before any verdict.
+    times = {name: (ns_per_op(base, name, args.baseline),
+                    ns_per_op(cur, name, args.current))
+             for name in args.benchmark}
+    for name in args.benchmark:
+        if "allocs_per_op" in base[name] and "allocs_per_op" not in cur[name]:
+            bad_record(args.current, f"{name} has no allocs_per_op but the "
+                                     f"baseline row gates one")
 
     failed = False
-    if ratio > 1 + args.threshold:
-        print(f"FAIL: {args.benchmark} regressed "
-              f"{(ratio - 1) * 100:.1f}% (normalized) vs baseline")
-        failed = True
+    for name in args.benchmark:
+        base_ns, cur_ns = times[name]
+        base_rel = base_ns / base_ref
+        cur_rel = cur_ns / cur_ref
+        ratio = cur_rel / base_rel
+        print(f"{name}:")
+        print(f"  baseline: {base_ns:12.2f} ns/op "
+              f"(ref {base_ref:.2f} ns -> rel {base_rel:.4f})")
+        print(f"  current:  {cur_ns:12.2f} ns/op "
+              f"(ref {cur_ref:.2f} ns -> rel {cur_rel:.4f})")
+        print(f"  normalized ratio: {ratio:.3f} "
+              f"(fail above {1 + args.threshold:.3f})")
+        if ratio > 1 + args.threshold:
+            print(f"FAIL: {name} regressed "
+                  f"{(ratio - 1) * 100:.1f}% (normalized) vs baseline")
+            failed = True
 
-    base_allocs = base_row.get("allocs_per_op", 0.0)
-    cur_allocs = cur_row.get("allocs_per_op", 0.0)
-    print(f"  allocs_per_op: baseline {base_allocs:.4f}, current {cur_allocs:.4f}")
-    if cur_allocs > base_allocs + 0.01:
-        print(f"FAIL: {args.benchmark} allocates on the hot path "
-              f"({cur_allocs:.4f}/op vs baseline {base_allocs:.4f}/op)")
-        failed = True
+        if "allocs_per_op" not in base[name]:
+            print("  allocs_per_op: not measured")
+            continue
+        base_allocs = base[name]["allocs_per_op"]
+        cur_allocs = cur[name]["allocs_per_op"]
+        print(f"  allocs_per_op: baseline {base_allocs:.4f}, current {cur_allocs:.4f}")
+        if cur_allocs > base_allocs + 0.01:
+            print(f"FAIL: {name} allocates on the hot path "
+                  f"({cur_allocs:.4f}/op vs baseline {base_allocs:.4f}/op)")
+            failed = True
 
     if failed:
         sys.exit(EXIT_REGRESSION)

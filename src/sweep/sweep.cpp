@@ -25,15 +25,6 @@ namespace hicc::sweep {
 
 namespace {
 
-const char* cc_name(transport::CcAlgorithm cc) {
-  switch (cc) {
-    case transport::CcAlgorithm::kSwift: return "swift";
-    case transport::CcAlgorithm::kTcpLike: return "tcp-like";
-    case transport::CcAlgorithm::kHostSignal: return "host-signal";
-  }
-  return "unknown";
-}
-
 class JsonObject {
  public:
   JsonObject(std::ostream& os, int indent) : os_(os), indent_(indent) { os_ << "{"; }
@@ -90,7 +81,7 @@ void write_config(std::ostream& os, const ExperimentConfig& cfg, int indent) {
   o.field("ddio_enabled", cfg.ddio.enabled);
   o.field("victim_flows", cfg.victim_flows);
   o.field("victim_read_size_bytes", cfg.victim_read_size.count());
-  o.field("cc", cc_name(cfg.cc));
+  o.field("cc", transport::to_string(cfg.cc));
   o.field("swift_host_target_us", cfg.swift.host_target.us());
   o.field("iotlb_entries", cfg.iommu.iotlb_entries);
   o.field("nic_buffer_bytes", cfg.nic.input_buffer.count());

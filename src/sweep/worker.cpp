@@ -18,27 +18,6 @@
 namespace hicc::sweep {
 namespace {
 
-const char* cc_label(transport::CcAlgorithm cc) {
-  switch (cc) {
-    case transport::CcAlgorithm::kSwift: return "swift";
-    case transport::CcAlgorithm::kTcpLike: return "tcp-like";
-    case transport::CcAlgorithm::kHostSignal: return "host-signal";
-  }
-  return "unknown";
-}
-
-bool cc_from_label(const std::string& label, transport::CcAlgorithm* out) {
-  for (const auto cc :
-       {transport::CcAlgorithm::kSwift, transport::CcAlgorithm::kTcpLike,
-        transport::CcAlgorithm::kHostSignal}) {
-    if (label == cc_label(cc)) {
-      *out = cc;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Spec-line writer: one `key=value` per line, doubles through the
 /// round-trip formatter so parse_point_spec restores them exactly.
 class SpecWriter {
@@ -78,7 +57,7 @@ void write_host_lines(SpecWriter& w, const ExperimentConfig& cfg) {
   w.put("ddio_enabled", cfg.ddio.enabled);
   w.put("victim_flows", cfg.victim_flows);
   w.put("victim_read_size_bytes", cfg.victim_read_size.count());
-  w.put("cc", std::string(cc_label(cfg.cc)));
+  w.put("cc", std::string(transport::to_string(cfg.cc)));
   w.put("swift_host_target_us", cfg.swift.host_target.us());
   w.put("iotlb_entries", cfg.iommu.iotlb_entries);
   w.put("nic_buffer_bytes", cfg.nic.input_buffer.count());
@@ -304,7 +283,7 @@ SpecParse parse_point_spec(const std::string& text) {
     } else if (key == "victim_read_size_bytes") {
       as_bytes(value, &cfg.victim_read_size);
     } else if (key == "cc") {
-      if (!cc_from_label(value, &cfg.cc)) fail("unknown cc '" + value + "'");
+      if (!transport::cc_from_string(value.c_str(), &cfg.cc)) fail("unknown cc '" + value + "'");
     } else if (key == "swift_host_target_us") {
       as_us(value, &cfg.swift.host_target);
     } else if (key == "iotlb_entries") {

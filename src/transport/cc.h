@@ -6,6 +6,7 @@
 // response" direction. All three plug into the same sender flow.
 #pragma once
 
+#include <cstring>
 #include <memory>
 
 #include "common/units.h"
@@ -51,5 +52,27 @@ enum class CcAlgorithm {
   kTcpLike,     // loss-based AIMD baseline
   kHostSignal,  // Swift + sub-RTT multiplicative response to NIC signals
 };
+
+/// The protocol's label in sweep JSON and point specs.
+[[nodiscard]] inline const char* to_string(CcAlgorithm cc) {
+  switch (cc) {
+    case CcAlgorithm::kSwift: return "swift";
+    case CcAlgorithm::kTcpLike: return "tcp-like";
+    case CcAlgorithm::kHostSignal: return "host-signal";
+  }
+  return "unknown";
+}
+
+/// Parses a to_string() label; false (and *out untouched) otherwise.
+[[nodiscard]] inline bool cc_from_string(const char* s, CcAlgorithm* out) {
+  for (const CcAlgorithm cc :
+       {CcAlgorithm::kSwift, CcAlgorithm::kTcpLike, CcAlgorithm::kHostSignal}) {
+    if (std::strcmp(s, to_string(cc)) == 0) {
+      *out = cc;
+      return true;
+    }
+  }
+  return false;
+}
 
 }  // namespace hicc::transport

@@ -5,71 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
 #include "common/units.h"
+#include "counting_alloc.h"
 #include "sim/inline_action.h"
 #include "sim/simulator.h"
-
-// ---------------------------------------------------------------------------
-// Counting `operator new` hook (whole binary): lets the steady-state test
-// below assert the engine's schedule/run/cancel cycle never touches the heap.
-// Constant-initialized so it is valid before any static-init allocation.
-static std::atomic<std::uint64_t> g_allocs{0};
-
-static void* counted_alloc(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto align = static_cast<std::size_t>(a);
-  const std::size_t rounded = (n + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded ? rounded : align)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) { return ::operator new(n, a); }
-// The nothrow forms too (std::stable_sort's buffer comes from one):
-// every block this hook frees must come from this hook.
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void* operator new(std::size_t n, std::align_val_t a, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto align = static_cast<std::size_t>(a);
-  const std::size_t rounded = (n + align - 1) / align * align;
-  return std::aligned_alloc(align, rounded ? rounded : align);
-}
-void* operator new[](std::size_t n, std::align_val_t a, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, a, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace hicc::sim {
 namespace {
@@ -433,7 +379,7 @@ TEST(Simulator, SteadyStateIsAllocationFree) {
   sim.run_until(TimePs(t));
   sim.cancel(far);
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = heap_allocations();
   for (int i = 0; i < 20'000; ++i) {
     const EventId doomed =
         sim.at(TimePs(t += 200), [fat, &sink] { sink += fat.lane[0]; });
@@ -441,7 +387,7 @@ TEST(Simulator, SteadyStateIsAllocationFree) {
     sim.cancel(doomed);
     sim.run_until(TimePs(t));
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = heap_allocations();
   EXPECT_EQ(after - before, 0u) << "engine hot path reached operator new";
   EXPECT_EQ(sink, 20'000u + 256u);
 }
