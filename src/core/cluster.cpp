@@ -1,6 +1,7 @@
 #include "core/cluster.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "workload/engine.h"
@@ -69,6 +70,10 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
   }
 
   sender_ports_.resize(static_cast<std::size_t>(senders_per_receiver_));
+  // Each sender machine's controllers share one set of delay
+  // histograms, registered under its prefix with its first controller.
+  std::vector<std::optional<transport::SwiftProbes>> machine_probes(
+      static_cast<std::size_t>(senders_per_receiver_));
   for (int r = 0; r < receivers_; ++r) {
     ReceiverGroup& group = groups_[static_cast<std::size_t>(r)];
     host::ReceiverHost& recv = *group.host.receiver;
@@ -95,7 +100,7 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
         const int g = receivers_ + s;
         group.senders[static_cast<std::size_t>(s)]->set_flow_factory(
             [this, g](std::int32_t) {
-              return make_congestion_control(host_sim(g), cfg_.host, nullptr);
+              return make_congestion_control(host_sim(g), cfg_.host, {});
             });
       }
     } else {
@@ -107,8 +112,11 @@ ClusterExperiment::ClusterExperiment(ClusterConfig cfg)
         // different partitions, and host<g>.transport.* keeps every
         // histogram single-writer.
         const trace::Tracer::ScopedPrefix prefix(tracer_.get(), trace::host_prefix(g));
+        std::optional<transport::SwiftProbes>& probes =
+            machine_probes[static_cast<std::size_t>(s)];
+        if (!probes) probes = swift_probes(cfg_.host, tracer_.get());
         group.senders[static_cast<std::size_t>(s)]->add_flow(
-            flow, make_congestion_control(host_sim(g), cfg_.host, tracer_.get()));
+            flow, make_congestion_control(host_sim(g), cfg_.host, *probes));
       }
     }
     recv.set_transmit([this, r](net::Packet p) {

@@ -40,9 +40,14 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
         },
         rng_.fork()));
   }
+  // Every controller feeds the same delay histograms, registered once
+  // where the first controller is built.
+  const transport::SwiftProbes probes = receiver_->num_flows() > 0
+                                            ? swift_probes(cfg_, tracer_.get())
+                                            : transport::SwiftProbes{};
   for (std::int32_t flow = 0; flow < receiver_->num_flows(); ++flow) {
-    senders_[static_cast<std::size_t>(receiver_->sender_of_flow(flow))]->add_flow(flow,
-                                                                                  make_cc());
+    senders_[static_cast<std::size_t>(receiver_->sender_of_flow(flow))]->add_flow(
+        flow, make_congestion_control(sim_, cfg_, probes));
   }
 
   // ACKs and read requests carry the sender index they address.
@@ -82,10 +87,6 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
 }
 
 Experiment::~Experiment() = default;
-
-std::unique_ptr<transport::CongestionControl> Experiment::make_cc() {
-  return make_congestion_control(sim_, cfg_, tracer_.get());
-}
 
 void Experiment::start() {
   if (started_) return;

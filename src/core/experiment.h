@@ -75,7 +75,6 @@ class Experiment {
   [[nodiscard]] const ExperimentConfig& config() const { return cfg_; }
 
  private:
-  [[nodiscard]] std::unique_ptr<transport::CongestionControl> make_cc();
   /// Harvest sources for the shared per-host window math
   /// (core/host_factory.h); fabric_drops is supplied by the caller.
   [[nodiscard]] HostHarvestSources harvest_sources() const;

@@ -1,20 +1,23 @@
 #include "core/host_factory.h"
 
-#include "transport/swift.h"
-
 namespace hicc {
 
+transport::SwiftProbes swift_probes(const ExperimentConfig& cfg, trace::Tracer* tracer) {
+  if (tracer == nullptr || cfg.cc == transport::CcAlgorithm::kTcpLike) return {};
+  return transport::SwiftProbes::attach(*tracer);
+}
+
 std::unique_ptr<transport::CongestionControl> make_congestion_control(
-    sim::Simulator& sim, const ExperimentConfig& cfg, trace::Tracer* tracer) {
+    sim::Simulator& sim, const ExperimentConfig& cfg, const transport::SwiftProbes& probes) {
   switch (cfg.cc) {
     case transport::CcAlgorithm::kSwift:
       return std::make_unique<transport::SwiftCc>(sim, cfg.swift,
-                                                  /*react_to_host_signal=*/false, tracer);
+                                                  /*react_to_host_signal=*/false, probes);
     case transport::CcAlgorithm::kTcpLike:
       return std::make_unique<transport::TcpLikeCc>(sim);
     case transport::CcAlgorithm::kHostSignal:
       return std::make_unique<transport::SwiftCc>(sim, cfg.swift,
-                                                  /*react_to_host_signal=*/true, tracer);
+                                                  /*react_to_host_signal=*/true, probes);
   }
   return nullptr;
 }

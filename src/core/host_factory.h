@@ -26,6 +26,7 @@
 #include "sim/simulator.h"
 #include "trace/trace.h"
 #include "transport/sender_host.h"
+#include "transport/swift.h"
 
 namespace hicc {
 
@@ -105,10 +106,19 @@ struct HostHarvestSources {
   BitRate link_rate{};
 };
 
+/// The delay histograms shared by the Swift controllers built under
+/// `tracer`'s current scope: attached when `tracer` is non-null and the
+/// config's cc algorithm is a Swift variant, else the empty set. Call
+/// once per scope, where its first controller is built, and pass the
+/// result to every make_congestion_control() there.
+[[nodiscard]] transport::SwiftProbes swift_probes(const ExperimentConfig& cfg,
+                                                  trace::Tracer* tracer);
+
 /// Builds one flow's congestion controller per the config's cc
 /// algorithm selection (shared by Experiment and ClusterExperiment).
+/// Swift variants feed `probes`.
 [[nodiscard]] std::unique_ptr<transport::CongestionControl> make_congestion_control(
-    sim::Simulator& sim, const ExperimentConfig& cfg, trace::Tracer* tracer);
+    sim::Simulator& sim, const ExperimentConfig& cfg, const transport::SwiftProbes& probes);
 
 /// Maps a simulator abort cause to the run-status Metrics reports --
 /// shared by harvest_host_window and ClusterExperiment's parallel-mode

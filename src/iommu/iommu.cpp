@@ -40,46 +40,51 @@ Iommu::Iommu(sim::Simulator& sim, mem::MemorySystem& mem, IommuParams params, Rn
 void Iommu::unmap_region(RegionId id) {
   const Region r = table_.region(id);
   for (std::int64_t p = 0; p < r.num_pages(); ++p) {
-    if (iotlb_.invalidate(r.page_iova(p))) ++stats_.invalidations;
+    if (iotlb_.invalidate(IoPageTable::iotlb_tag(r, r.page_iova(p)))) ++stats_.invalidations;
   }
   table_.unmap_region(id);
 }
 
 bool Iommu::invalidate_page(Iova iova) {
-  const auto region = table_.find(iova);
-  if (!region) return false;
-  if (iotlb_.invalidate(IoPageTable::page_base(*region, iova))) {
+  const Region* region = table_.find(iova);
+  if (region == nullptr) return false;
+  if (iotlb_.invalidate(IoPageTable::iotlb_tag(*region, iova))) {
     ++stats_.invalidations;
     return true;
   }
   return false;
 }
 
-std::optional<TimePs> Iommu::try_translate(Iova iova) {
-  if (!params_.enabled) return TimePs(0);
+Iommu::FastPath Iommu::translate_fast(Iova iova) {
+  if (!params_.enabled) return {TimePs(0), true};
   ++stats_.lookups;
-  const auto region = table_.find(iova);
-  if (!region) {
+  const Region* region = table_.find(iova);
+  if (region == nullptr) {
     // DMA fault: in hardware this aborts the transaction. The callers
     // in this codebase only present mapped addresses; count and treat
     // as an instantaneous completion to stay robust.
     ++stats_.faults;
-    return TimePs(0);
+    return {TimePs(0), true};
   }
-  const Iova key = IoPageTable::page_base(*region, iova);
-  if (iotlb_.lookup(key)) {
+  if (iotlb_.lookup(IoPageTable::iotlb_tag(*region, iova))) {
     ++stats_.hits;
-    return params_.hit_latency;
+    return {params_.hit_latency, true};
   }
   ++stats_.misses;
-  return std::nullopt;
+  return {};
+}
+
+std::optional<TimePs> Iommu::try_translate(Iova iova) {
+  const FastPath r = translate_fast(iova);
+  if (!r.translated) return std::nullopt;
+  return r.latency;
 }
 
 void Iommu::translate_slow(Iova iova, sim::InlineCallback<void()> done) {
-  const auto region = table_.find(iova);
+  const Region* region = table_.find(iova);
   Walk walk;
   walk.iova = iova;
-  walk.page_size = region ? region->page_size : PageSize::k4K;
+  walk.page_size = region != nullptr ? region->page_size : PageSize::k4K;
   walk.done = std::move(done);
   walk_queue_.push_back(std::move(walk));
   pump_walkers();
@@ -144,8 +149,8 @@ void Iommu::walk_step(Walk walk) {
   if (walk.next_level >= walk.num_levels) {
     // Walk complete: install the leaf in the IOTLB and the traversed
     // upper levels in the page-walk caches.
-    const auto region = table_.find(walk.iova);
-    if (region) iotlb_.insert(IoPageTable::page_base(*region, walk.iova));
+    const Region* region = table_.find(walk.iova);
+    if (region != nullptr) iotlb_.insert(IoPageTable::iotlb_tag(*region, walk.iova));
     const int leaf = (walk.page_size == PageSize::k4K) ? 1 : 2;
     for (std::uint8_t i = 0; i < walk.num_levels; ++i) {
       const int level = walk.levels[i];

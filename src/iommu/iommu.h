@@ -116,6 +116,16 @@ class Iommu {
   /// required and the caller must use translate_slow().
   [[nodiscard]] std::optional<TimePs> try_translate(Iova iova);
 
+  /// try_translate() as a plain pair, for the per-TLP caller: GCC
+  /// returns it in two registers, where it builds a std::optional on
+  /// the stack and reloads it past a store-forwarding stall, inlined
+  /// or not.
+  struct FastPath {
+    TimePs latency{};
+    bool translated = false;  // false: a walk is required
+  };
+  [[nodiscard]] FastPath translate_fast(Iova iova);
+
   /// Slow path: queues a page walk for `iova`; `done` runs when the
   /// translation is installed (walk latency has already elapsed on the
   /// simulator clock). Call only after try_translate() returned nullopt.

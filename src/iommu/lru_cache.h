@@ -2,11 +2,13 @@
 // caches and the ATS device TLB. Every operation is O(1): each set
 // keeps its entries on an intrusive recency list, and one
 // open-addressed key -> entry index, sized at construction, finds a
-// key without scanning its set. Nothing allocates after construction.
+// key without scanning its set; a hit on a set's most recently used
+// entry skips even the index. Nothing allocates after construction.
 // hicc-lint: hotpath -- steady state must stay allocation-free (DESIGN.md §8).
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -27,6 +29,7 @@ class LruCache {
         ways_(ways),
         entries_(static_cast<std::size_t>(sets) * static_cast<std::size_t>(ways)),
         lists_(static_cast<std::size_t>(sets)) {
+    assert(sets >= 1 && ways >= 1 && "every set needs a way");
     // Each set's list starts as its ways in index order, all free.
     for (std::size_t s = 0; s < lists_.size(); ++s) {
       const auto first = static_cast<std::int32_t>(s * static_cast<std::size_t>(ways_));
@@ -50,6 +53,10 @@ class LruCache {
 
   /// Looks up `key`, making it its set's most recently used on a hit.
   bool lookup(const Key& key) {
+    // A hit on the set's most recently used entry changes no LRU state
+    // and needs no index probe: consecutive TLPs of one DMA hit there.
+    const Entry& mru = entries_[static_cast<std::size_t>(lists_[set_of(key)].head)];
+    if (mru.valid && mru.key == key) return true;
     const std::int32_t e = find(key);
     if (e == kNone) return false;
     move_to_front(e);

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/units.h"
@@ -29,6 +28,10 @@ enum class PageSize : std::uint8_t {
 inline constexpr Bytes page_bytes(PageSize ps) {
   return ps == PageSize::k4K ? Bytes(4096) : Bytes(2 * 1024 * 1024);
 }
+
+/// log2 of page_bytes(ps): the shift that turns an IOVA into a page
+/// number, so per-TLP page arithmetic never divides.
+inline constexpr int page_shift(PageSize ps) { return ps == PageSize::k4K ? 12 : 21; }
 
 /// Number of page-table levels that must be read to translate a leaf
 /// of the given size, assuming nothing is cached (L4,L3,L2[,L1]).
@@ -112,28 +115,35 @@ class IoPageTable {
     return regions_.at(static_cast<std::size_t>(id.index)).region;
   }
 
-  /// Finds the mapped region containing `iova`, if any. The 2 MiB
+  /// Finds the mapped region containing `iova`, or null. The 2 MiB
   /// chunk directory names the first region that can contain it; the
-  /// scan past it only crosses the few regions sharing that chunk.
-  [[nodiscard]] std::optional<Region> find(Iova iova) const {
+  /// scan past it only crosses the few regions sharing that chunk. The
+  /// pointer is valid until the next map_region().
+  [[nodiscard]] const Region* find(Iova iova) const {
     const Iova chunk = iova >> kChunkShift;
-    if (chunk >= first_region_.size()) return std::nullopt;
+    if (chunk >= first_region_.size()) return nullptr;
     for (auto i = static_cast<std::size_t>(first_region_[chunk]);
          i < regions_.size() && regions_[i].region.base <= iova; ++i) {
       const Slot& s = regions_[i];
-      if (s.region.contains(iova)) {
-        if (!s.mapped) break;
-        return s.region;
-      }
+      if (s.region.contains(iova)) return s.mapped ? &s.region : nullptr;
     }
-    return std::nullopt;
+    return nullptr;
   }
 
-  /// IOVA rounded down to its page base (the IOTLB tag), given the
-  /// owning region's page size.
+  /// IOVA rounded down to its page base, given the owning region's
+  /// page size. Pages are powers of two, so this masks.
   [[nodiscard]] static Iova page_base(const Region& r, Iova iova) {
-    const auto psz = static_cast<Iova>(page_bytes(r.page_size).count());
-    return iova / psz * psz;
+    return iova & ~((Iova{1} << page_shift(r.page_size)) - 1);
+  }
+
+  /// IOTLB tag of the page holding `iova`: its page number, with the
+  /// top bit set for a 2 MiB page so the two sizes' numbers never
+  /// collide. Consecutive pages get consecutive tags, so a
+  /// set-associative IOTLB (tag modulo the set count) spreads them
+  /// over every set, as hardware indexing by low page-number bits does.
+  [[nodiscard]] static Iova iotlb_tag(const Region& r, Iova iova) {
+    const Iova huge = r.page_size == PageSize::k2M ? Iova{1} << 63 : 0;
+    return (iova >> page_shift(r.page_size)) | huge;
   }
 
   /// Total leaf pages currently mapped (the IOTLB working-set bound).

@@ -24,6 +24,7 @@ MemorySystem::MemorySystem(sim::Simulator& sim, DramParams params, Rng rng, Time
       params_(params),
       rng_(rng),
       epoch_(epoch),
+      burst_time_(params.achievable_bw()),
       latency_(params.idle_latency),
       epoch_task_(sim, epoch, [this] { on_epoch(); }) {
   class_throttle_bps_.fill(0.0);
@@ -216,7 +217,7 @@ TimePs MemorySystem::request(MemClass cls, Bytes n, bool is_read) {
   // Completion = loaded access latency (with +-10% service jitter) plus
   // the burst's own serialization time on the bus.
   const double jitter = rng_.uniform(0.9, 1.1);
-  const TimePs serialization = params_.achievable_bw().time_to_send(n);
+  const TimePs serialization = burst_time_.time_to_send(n);
   return TimePs::from_ns(latency_.ns() * jitter) + serialization;
 }
 

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/send_time_memo.h"
 #include "common/units.h"
 #include "mem/dram.h"
 #include "sim/simulator.h"
@@ -170,6 +171,8 @@ class MemorySystem {
   DramParams params_;
   Rng rng_;
   TimePs epoch_;
+  /// Burst serialization times at params_.achievable_bw().
+  SendTimeMemo burst_time_;
 
   std::vector<FluidClient> clients_;
   std::array<double, kMemClassCount> class_throttle_bps_{};  // <=0: none

@@ -9,6 +9,7 @@
 
 #include "common/ring.h"
 #include "common/rng.h"
+#include "common/send_time_memo.h"
 #include "common/units.h"
 #include "net/packet.h"
 #include "sim/parallel.h"
@@ -91,7 +92,7 @@ class QueuedLink {
   }
   /// Packets dropped so far (tail drops + down/loss-window discards).
   [[nodiscard]] std::int64_t drops() const { return drops_; }
-  [[nodiscard]] BitRate rate() const { return rate_; }
+  [[nodiscard]] BitRate rate() const { return rate_.rate(); }
   /// The simulator whose events send into this link (its partition's).
   [[nodiscard]] sim::Simulator& simulator() const { return sim_; }
 
@@ -99,8 +100,9 @@ class QueuedLink {
   // serialization or flight are unaffected; only new sends see the
   // changed state, mirroring how real link events manifest.
 
-  /// Changes the serialization rate for subsequent sends.
-  void set_rate(BitRate rate) { rate_ = rate; }
+  /// Changes the serialization rate for subsequent sends (and drops
+  /// the serialization times memoized at the old one).
+  void set_rate(BitRate rate) { rate_.set_rate(rate); }
   /// Administratively downs the link: every send drops.
   void set_down(bool down) { down_ = down; }
   /// Random-loss window; `prob` in [0,1], rng must outlive the window
@@ -153,7 +155,8 @@ class QueuedLink {
   }
 
   sim::Simulator& sim_;
-  BitRate rate_;
+  /// The rate, with its serialization times memoized per wire size.
+  SendTimeMemo rate_;
   TimePs propagation_;
   Bytes capacity_;
   DeliverFn deliver_;

@@ -14,7 +14,8 @@ PcieBus::PcieBus(sim::Simulator& sim, mem::MemorySystem& mem, iommu::Iommu& iomm
       iommu_(iommu),
       params_(params),
       ddio_(ddio),
-      credits_free_(params.credit_bytes) {
+      credits_free_(params.credit_bytes),
+      link_time_(params.link_rate()) {
   // Completions pending at once: about one per packet in the write
   // buffer, plus its CQ entry; more grow once.
   completions_.reserve(16);
@@ -80,7 +81,7 @@ void PcieBus::transmit(Tlp&& tlp) {
   const Bytes wire =
       tlp.is_read ? params_.tlp_overhead : params_.tlp_wire_bytes(tlp.payload);
   const TimePs start = std::max(link_free_at_, sim_.now());
-  link_free_at_ = start + params_.link_rate().time_to_send(wire);
+  link_free_at_ = start + link_time_.time_to_send(wire);
   tlp.arrive = link_free_at_ + params_.link_latency;
   tlp.seq = sim_.reserve_seq();
   rc_queue_.push_back(std::move(tlp));
@@ -109,8 +110,8 @@ void PcieBus::pump_rc() {
     sim_.after(params_.tlp_proc_time, [this] { finish_translation(); });
     return;
   }
-  if (const auto fast = iommu_.try_translate(head.iova)) {
-    sim_.after(params_.tlp_proc_time + *fast, [this] { finish_translation(); });
+  if (const iommu::Iommu::FastPath fast = iommu_.translate_fast(head.iova); fast.translated) {
+    sim_.after(params_.tlp_proc_time + fast.latency, [this] { finish_translation(); });
   } else {
     // Head-of-line page walk: everything behind waits (posted writes
     // cannot pass each other), and the credits of every queued TLP
@@ -178,22 +179,32 @@ void PcieBus::try_commit_write() {
     lat = mem_.request(mem::MemClass::kNicDma, payload, /*is_read=*/false);
   }
   // The retirement takes the slot an event scheduled here would get.
-  Retirement r{sim_.now() + std::max(lat, TimePs{}), sim_.reserve_seq(), payload};
-  std::uint64_t fire = r.seq;
+  const TimePs time = sim_.now() + std::max(lat, TimePs{});
+  const std::uint64_t seq = sim_.reserve_seq();
+  std::uint64_t fire = seq;
   if (burst) {
     // Seqs only grow, so a retirement no earlier than the burst's
     // latest so far is the new latest.
-    if (burst_seq_ == 0 || r.time >= burst_time_) {
-      burst_time_ = r.time;
-      burst_seq_ = r.seq;
+    if (burst_seq_ == 0 || time >= burst_time_) {
+      burst_time_ = time;
+      burst_seq_ = seq;
     }
     fire = burst_seq_;
     if (done) burst_seq_ = 0;  // the last TLP closes the burst
   }
-  retiring_.push_back(r);
-  for (std::size_t i = retiring_.size() - 1; i > 0 && later(retiring_[i - 1], retiring_[i]); --i) {
-    std::swap(retiring_[i - 1], retiring_[i]);
-  }
+  // Written field by field into its sorted place (GCC builds an
+  // aggregate temporary on the stack and copies it out with overlapping
+  // 16-byte moves). Its seq is the newest, so only a pending retirement
+  // at a later time sorts after it.
+  std::size_t at = retiring_.size();
+  while (at > 0 && retiring_[at - 1].time > time) --at;
+  retiring_.emplace_back();
+  for (std::size_t i = retiring_.size() - 1; i > at; --i) retiring_[i] = retiring_[i - 1];
+  Retirement& r = retiring_[at];
+  r.time = time;
+  r.seq = seq;
+  r.payload = payload;
+  r.built = false;
   if (done) {
     // The RC commits in order, so a burst's latest retirement is known
     // at its last commit, and it is still pending: it is no earlier

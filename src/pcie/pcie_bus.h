@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/ring.h"
+#include "common/send_time_memo.h"
 #include "common/units.h"
 #include "iommu/iommu.h"
 #include "mem/ddio.h"
@@ -171,9 +172,6 @@ class PcieBus {
   void finish_translation();
   /// Tries to move the head posted write into the write buffer.
   void try_commit_write();
-  [[nodiscard]] static bool later(const Retirement& a, const Retirement& b) {
-    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-  }
   [[nodiscard]] bool retired(const Retirement& r) const { return sim_.passed(r.time, r.seq); }
   /// Builds the event for a pending retirement in its reserved slot.
   void arm_retirement(Retirement& r);
@@ -192,6 +190,8 @@ class PcieBus {
 
   Bytes credits_free_;
   bool credits_frozen_ = false;
+  /// Serialization times at params_.link_rate().
+  SendTimeMemo link_time_;
   TimePs link_free_at_{};
   /// Every TLP on the link or in the RC, in transmit order. Arrival
   /// times strictly increase, so the link is FIFO: the prefix whose

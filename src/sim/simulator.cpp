@@ -31,32 +31,22 @@ bool Simulator::cancel(EventId id) {
   if (n.seq != id.seq || !n.live) return false;
   n.live = false;  // tombstone; the node is reclaimed at the next scan
   n.fn = nullptr;  // release captured resources immediately
+  if (n.in_heap) ++heap_dead_;
   --live_;
   return true;
 }
 
-bool Simulator::guard_event_slow(TimePs t) {
-  if (watchdog_.max_events != 0 && executed_ >= watchdog_.max_events) {
-    abort_cause_ = AbortCause::kEventBudget;
+bool Simulator::trip(AbortCause cause, TimePs t) {
+  abort_cause_ = cause;
+  if (cause == AbortCause::kEventBudget) {
     abort_reason_ = "event budget exhausted (" + std::to_string(watchdog_.max_events) +
                     " events executed) at t=" + std::to_string(t.us()) + "us";
-    return false;
+  } else {
+    abort_reason_ = "no time progress: " + std::to_string(same_time_streak_) +
+                    " consecutive events at t=" + std::to_string(t.us()) +
+                    "us (self-rescheduling loop?)";
   }
-  if (watchdog_.max_events_per_timestamp != 0) {
-    if (executed_ > 0 && t == last_exec_time_) {
-      if (++same_time_streak_ >= watchdog_.max_events_per_timestamp) {
-        abort_cause_ = AbortCause::kTimestampStall;
-        abort_reason_ = "no time progress: " + std::to_string(same_time_streak_) +
-                        " consecutive events at t=" + std::to_string(t.us()) +
-                        "us (self-rescheduling loop?)";
-        return false;
-      }
-    } else {
-      same_time_streak_ = 1;
-    }
-  }
-  last_exec_time_ = t;
-  return true;
+  return false;
 }
 
 void Simulator::run_until(TimePs end) {

@@ -212,14 +212,16 @@ class Simulator {
   static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
 
   /// Slab-pooled event node. A node is referenced by exactly one
-  /// container (a bucket chain via `next`, or one heap entry); `seq`
-  /// holds the issuing EventId's generation while scheduled and 0 once
-  /// reclaimed, `live` drops to false when cancelled (tombstone).
+  /// container (a bucket chain via `next`, or one heap entry, then
+  /// `in_heap`); `seq` holds the issuing EventId's generation while
+  /// scheduled and 0 once reclaimed, `live` drops to false when
+  /// cancelled (tombstone).
   struct Node {
     TimePs time{};
     std::uint64_t seq = 0;
     std::int32_t next = kNil;
     bool live = false;
+    bool in_heap = false;
     Action fn;
   };
 
@@ -320,14 +322,29 @@ class Simulator {
   Candidate peek_min();
 
   /// Checks the watchdog before executing the event at `t`. Returns
-  /// false (and records the abort) when a guard trips. The common
-  /// no-watchdog configuration stays branch-cheap.
+  /// false (and records the abort) when a guard trips. Inline: runs
+  /// carry a per-timestamp guard by default, so every event takes
+  /// this path; only a trip leaves it.
   bool guard_event(TimePs t) {
     if ((watchdog_.max_events | watchdog_.max_events_per_timestamp) == 0)
       return true;
-    return guard_event_slow(t);
+    if (watchdog_.max_events != 0 && executed_ >= watchdog_.max_events) {
+      return trip(AbortCause::kEventBudget, t);
+    }
+    if (watchdog_.max_events_per_timestamp != 0) {
+      if (executed_ > 0 && t == last_exec_time_) {
+        if (++same_time_streak_ >= watchdog_.max_events_per_timestamp) {
+          return trip(AbortCause::kTimestampStall, t);
+        }
+      } else {
+        same_time_streak_ = 1;
+      }
+    }
+    last_exec_time_ = t;
+    return true;
   }
-  bool guard_event_slow(TimePs t);
+  /// Records a watchdog abort at `t`; returns false.
+  bool trip(AbortCause cause, TimePs t);
 
   TimePs now_{};
   std::uint64_t next_seq_ = 1;
@@ -353,6 +370,9 @@ class Simulator {
 
   // Far-future events (beyond the wheel window at scheduling time).
   std::vector<HeapEntry> heap_;
+  /// Cancelled entries still in heap_: while zero, the heap's top is
+  /// live and peek_min() need not read its node.
+  std::size_t heap_dead_ = 0;
 
   WatchdogParams watchdog_;
   AbortCause abort_cause_ = AbortCause::kNone;
@@ -377,7 +397,8 @@ inline EventId Simulator::insert(TimePs t, std::uint64_t seq) {
   n.seq = seq;
   n.live = true;
   const std::uint64_t abs_bucket = static_cast<std::uint64_t>(t.ps()) >> kWidthBits;
-  if (abs_bucket < now_bucket() + kBuckets) {
+  n.in_heap = abs_bucket >= now_bucket() + kBuckets;
+  if (!n.in_heap) {
     bucket_push(abs_bucket, slot);
   } else {
     n.next = kNil;
@@ -392,8 +413,10 @@ inline EventId Simulator::insert(TimePs t, std::uint64_t seq) {
 
 inline Simulator::Candidate Simulator::peek_min() {
   Candidate best;
-  // Purge cancelled far-future timers sitting at the heap top.
-  while (!heap_.empty()) {
+  // Purge cancelled far-future timers sitting at the heap top. Only a
+  // cancel() leaves a dead entry, so without one the top is live.
+  while (heap_dead_ != 0) {
+    assert(!heap_.empty() && "a dead entry is in the heap");
     const std::int32_t slot = heap_.front().slot;
     const Node& n = node(static_cast<std::uint32_t>(slot));
     assert(n.seq == heap_.front().seq && "heap entry must own its node");
@@ -401,6 +424,7 @@ inline Simulator::Candidate Simulator::peek_min() {
     std::pop_heap(heap_.begin(), heap_.end());
     heap_.pop_back();
     free_node(slot);
+    --heap_dead_;
   }
   if (!heap_.empty()) {
     best.time = heap_.front().time;

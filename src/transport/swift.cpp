@@ -12,17 +12,16 @@ TimePs smooth(TimePs srtt, TimePs sample) {
 }
 }  // namespace
 
-SwiftCc::SwiftCc(sim::Simulator& sim, SwiftParams params, bool react_to_host_signal,
-                 trace::Tracer* tracer)
-    : sim_(sim), params_(params), react_to_host_signal_(react_to_host_signal), tracer_(tracer) {
-  if (tracer_ != nullptr) {
-    // Registration is get-or-create by name, so the hundreds of
-    // per-flow controllers of one experiment share three histograms.
-    rtt_probe_ = tracer_->histogram("transport.rtt_us", "us");
-    host_delay_probe_ = tracer_->histogram("transport.host_delay_us", "us");
-    fabric_rtt_probe_ = tracer_->histogram("transport.fabric_rtt_us", "us");
-  }
+SwiftProbes SwiftProbes::attach(trace::Tracer& tracer) {
+  return SwiftProbes{.tracer = &tracer,
+                     .rtt = tracer.histogram("transport.rtt_us", "us"),
+                     .host_delay = tracer.histogram("transport.host_delay_us", "us"),
+                     .fabric_rtt = tracer.histogram("transport.fabric_rtt_us", "us")};
 }
+
+SwiftCc::SwiftCc(sim::Simulator& sim, SwiftParams params, bool react_to_host_signal,
+                 SwiftProbes probes)
+    : sim_(sim), params_(params), react_to_host_signal_(react_to_host_signal), probes_(probes) {}
 
 void SwiftCc::clamp(double& cwnd) const {
   cwnd = std::clamp(cwnd, params_.min_cwnd, params_.max_cwnd);
@@ -55,12 +54,12 @@ void SwiftCc::on_ack(const AckInfo& info) {
   srtt_ = smooth(srtt_, info.rtt);
   const TimePs fabric_delay =
       info.rtt > info.host_delay ? info.rtt - info.host_delay : TimePs(0);
-  if (tracer_ != nullptr) {
+  if (probes_.tracer != nullptr) {
     // The paper's key observable: the same RTT decomposition Swift
     // itself acts on, recorded per ack.
-    tracer_->observe(rtt_probe_, info.rtt.us());
-    tracer_->observe(host_delay_probe_, info.host_delay.us());
-    tracer_->observe(fabric_rtt_probe_, fabric_delay.us());
+    probes_.tracer->observe(probes_.rtt, info.rtt.us());
+    probes_.tracer->observe(probes_.host_delay, info.host_delay.us());
+    probes_.tracer->observe(probes_.fabric_rtt, fabric_delay.us());
   }
   update_window(fabric_cwnd_, fabric_delay, params_.fabric_target, last_fabric_decrease_);
   update_window(host_cwnd_, info.host_delay, params_.host_target, last_host_decrease_);

@@ -46,17 +46,31 @@ struct SwiftParams {
   TimePs host_signal_cooldown = TimePs::from_us(50);
 };
 
+/// The delay histograms Swift controllers feed on every ACK:
+/// `transport.rtt_us`, `transport.host_delay_us` and
+/// `transport.fabric_rtt_us`. Every controller built under one tracer
+/// scope shares one set, so attach() it once per scope and hand the
+/// same set to each; the default set (no tracer) records nothing.
+struct SwiftProbes {
+  trace::Tracer* tracer = nullptr;
+  trace::ProbeId rtt;
+  trace::ProbeId host_delay;
+  trace::ProbeId fabric_rtt;
+
+  /// Registers (get-or-create) the three histograms under `tracer`'s
+  /// current name scope.
+  [[nodiscard]] static SwiftProbes attach(trace::Tracer& tracer);
+};
+
 /// Swift controller for one flow. When `react_to_host_signal` is set,
 /// the controller additionally halves the endpoint window on explicit
 /// sub-RTT NIC congestion signals (§4 ablation).
 class SwiftCc final : public CongestionControl {
  public:
-  /// `tracer`, when non-null, attaches the shared `transport.rtt_us`,
-  /// `transport.host_delay_us` and `transport.fabric_rtt_us` delay
-  /// histograms (shared across all flows of an experiment; `on_ack`
-  /// feeds them behind a single null check).
+  /// `probes`, when attached to a tracer, are the delay histograms
+  /// `on_ack` feeds (behind a single null check).
   SwiftCc(sim::Simulator& sim, SwiftParams params, bool react_to_host_signal = false,
-          trace::Tracer* tracer = nullptr);
+          SwiftProbes probes = {});
 
   void on_ack(const AckInfo& info) override;
   void on_loss() override;
@@ -78,10 +92,7 @@ class SwiftCc final : public CongestionControl {
   sim::Simulator& sim_;
   SwiftParams params_;
   bool react_to_host_signal_;
-  trace::Tracer* tracer_ = nullptr;  // null unless tracing is enabled
-  trace::ProbeId rtt_probe_;
-  trace::ProbeId host_delay_probe_;
-  trace::ProbeId fabric_rtt_probe_;
+  SwiftProbes probes_;  // tracer null unless tracing is enabled
   double fabric_cwnd_ = 1.0;
   double host_cwnd_ = 1.0;
   TimePs srtt_{};

@@ -123,10 +123,10 @@ TEST(PageTable, FindLocatesContainingRegion) {
   IoPageTable t;
   const auto a = t.map_region(Bytes::mib(4), PageSize::k2M);
   const auto& ra = t.region(a);
-  EXPECT_TRUE(t.find(ra.base).has_value());
-  EXPECT_TRUE(t.find(ra.base + 12345).has_value());
-  EXPECT_FALSE(t.find(ra.base + static_cast<Iova>(ra.size.count())).has_value());
-  EXPECT_FALSE(t.find(0).has_value());
+  EXPECT_NE(t.find(ra.base), nullptr);
+  EXPECT_NE(t.find(ra.base + 12345), nullptr);
+  EXPECT_EQ(t.find(ra.base + static_cast<Iova>(ra.size.count())), nullptr);
+  EXPECT_EQ(t.find(0), nullptr);
 }
 
 TEST(PageTable, TotalMappedPagesTracksMapUnmap) {
@@ -145,7 +145,7 @@ TEST(PageTable, UnmapTwiceIsANoOp) {
   t.unmap_region(a);
   t.unmap_region(a);
   EXPECT_EQ(t.total_mapped_pages(), 3072);
-  EXPECT_FALSE(t.find(t.region(a).base).has_value());
+  EXPECT_EQ(t.find(t.region(a).base), nullptr);
 }
 
 TEST(PageTable, FindMatchesLinearScan) {
@@ -194,13 +194,27 @@ TEST(PageTable, FindMatchesLinearScan) {
     for (int i = 0; i < 2000; ++i) probes.push_back(rng.below(top + (4ull << 20)));
 
     for (const Iova a : probes) {
-      const auto got = t.find(a);
+      const Region* got = t.find(a);
       const auto want = reference(a);
-      ASSERT_EQ(got.has_value(), want.has_value()) << "seed " << seed << " iova " << a;
+      ASSERT_EQ(got != nullptr, want.has_value()) << "seed " << seed << " iova " << a;
       if (got) {
         EXPECT_EQ(got->base, want->base);
         EXPECT_EQ(got->size, want->size);
       }
+    }
+  }
+}
+
+// page_base() masks; it must equal rounding down by division.
+TEST(PageTable, PageBaseMatchesDivision) {
+  Rng rng(0x9a9eba5e);
+  for (const PageSize ps : {PageSize::k4K, PageSize::k2M}) {
+    const Region r{0, Bytes(0), ps};
+    const auto psz = static_cast<Iova>(page_bytes(ps).count());
+    EXPECT_EQ(Iova{1} << page_shift(ps), psz);
+    for (int i = 0; i < 10000; ++i) {
+      const Iova iova = rng();
+      ASSERT_EQ(IoPageTable::page_base(r, iova), iova / psz * psz) << iova;
     }
   }
 }
@@ -223,6 +237,30 @@ struct Harness {
   explicit Harness(IommuParams p = IommuParams{})
       : params(p), iommu(sim, mem, p, Rng(0x10771b)) {}
 };
+
+// A 4-set IOTLB holds 128 consecutive pages: their tags are page
+// numbers, so they spread over every set (32 ways each).
+TEST(Iommu, SetAssociativeIotlbUsesEverySet) {
+  for (const PageSize ps : {PageSize::k2M, PageSize::k4K}) {
+    IommuParams p;
+    p.iotlb_sets = 4;
+    p.iotlb_entries = 128;
+    Harness h(p);
+    const auto rid = h.iommu.map_region(page_bytes(ps) * 128, ps);
+    const Region& r = h.iommu.region(rid);
+    for (std::int64_t i = 0; i < 128; ++i) {
+      ASSERT_FALSE(h.iommu.try_translate(r.page_iova(i)).has_value());
+      h.iommu.translate_slow(r.page_iova(i), [] {});
+    }
+    h.sim.run_until(1_ms);
+    ASSERT_EQ(h.iommu.stats().walks_completed, 128);
+    for (std::int64_t i = 0; i < 128; ++i) {
+      EXPECT_TRUE(h.iommu.try_translate(r.page_iova(i)).has_value())
+          << "page " << i << (ps == PageSize::k2M ? " (2 MiB)" : " (4 KiB)");
+    }
+    EXPECT_EQ(h.iommu.stats().hits, 128);
+  }
+}
 
 TEST(Iommu, DisabledTranslatesInstantly) {
   IommuParams p;

@@ -59,6 +59,25 @@ TEST(QueuedLink, BackToBackPacketsSpacedBySerialization) {
   EXPECT_NEAR((arrivals[2] - arrivals[1]).ns(), 356.16, 1.0);
 }
 
+// The link memoizes serialization times per wire size; a rate change
+// must not serve a size's time at the old rate.
+TEST(QueuedLink, SetRateSerializesEqualSizesAtTheirOwnRate) {
+  sim::Simulator sim;
+  std::vector<TimePs> arrivals;
+  const BitRate fast = BitRate::gbps(100);
+  const BitRate slow = BitRate::gbps(25);
+  QueuedLink link(sim, fast, 2_us, 1_MiB, [&](Packet) { arrivals.push_back(sim.now()); });
+  ASSERT_TRUE(link.send(make_data(0, 0, Bytes(4452))));
+  sim.run_until(10_us);  // idle again: the next send starts at now()
+  link.set_rate(slow);
+  EXPECT_EQ(link.rate(), slow);
+  ASSERT_TRUE(link.send(make_data(0, 1, Bytes(4452))));
+  sim.run_until(20_us);
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0], fast.time_to_send(Bytes(4452)) + 2_us);
+  EXPECT_EQ(arrivals[1], 10_us + slow.time_to_send(Bytes(4452)) + 2_us);
+}
+
 TEST(QueuedLink, TailDropsWhenFull) {
   sim::Simulator sim;
   int delivered = 0;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <list>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -120,6 +121,30 @@ TEST_P(LruGeometry, MatchesReferenceModelOnRandomTrace) {
       }
       ASSERT_EQ(cache.contains(key), ref.contains(key)) << "op " << op << " stride " << stride;
       ASSERT_EQ(cache.size(), ref.size()) << "op " << op << " stride " << stride;
+    }
+
+    // Run-heavy: keys come in runs, like a packet's 16 TLPs into one
+    // page, so most lookups hit their set's most recent entry. A global
+    // invalidation or an invalidation of that very key must end the
+    // run's hits.
+    for (int run = 0; run < 2000; ++run) {
+      const std::uint64_t key = rng.below(key_space) * stride;
+      const std::string where = "run " + std::to_string(run) + " stride " + std::to_string(stride);
+      if (!cache.lookup(key)) {
+        ASSERT_FALSE(ref.lookup(key)) << where;
+        ASSERT_EQ(cache.insert(key), ref.insert(key)) << where;
+      } else {
+        ASSERT_TRUE(ref.lookup(key)) << where;
+      }
+      for (int tlp = 1; tlp < 16; ++tlp) ASSERT_EQ(cache.lookup(key), ref.lookup(key)) << where;
+      if (run % 7 == 3) {
+        cache.clear();
+        ref.clear();
+      } else if (run % 5 == 1) {
+        ASSERT_EQ(cache.invalidate(key), ref.invalidate(key)) << where;
+      }
+      ASSERT_EQ(cache.lookup(key), ref.lookup(key)) << where;
+      ASSERT_EQ(cache.size(), ref.size()) << where;
     }
   }
 }

@@ -100,6 +100,35 @@ TEST(Simulator, CancelPreventsExecution) {
   EXPECT_EQ(ran, 0);
 }
 
+// Far-future events wait in a heap whose top node peek_min() reads only
+// while a cancellation has left a dead entry there.
+TEST(Simulator, CancelledFarFutureEventsNeverRun) {
+  Simulator sim;
+  std::vector<int> ran;
+  std::vector<EventId> ids;
+  // 1 ms and beyond: past the wheel's 33.5 us horizon, so in the heap.
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(sim.at(1_ms + TimePs::from_us(i), [&ran, i] { ran.push_back(i); }));
+  }
+  // The heap's top, and entries below it.
+  for (const int i : {0, 3, 5}) EXPECT_TRUE(sim.cancel(ids[static_cast<std::size_t>(i)]));
+  EXPECT_EQ(sim.pending(), 5u);
+  EXPECT_EQ(sim.queued_nodes(), 8u);  // tombstones until they surface
+  sim.run_until(1_ms + TimePs::from_us(2));
+  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.pending(), 5u - 2u);
+  sim.run_until(1_ms + TimePs::from_us(5));
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(sim.queued_nodes(), sim.pending());  // every dead entry surfaced
+  // A later cancellation in the heap is reclaimed when it surfaces too.
+  EXPECT_TRUE(sim.cancel(ids[7]));
+  sim.run_until(2_ms);
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 4, 6}));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.queued_nodes(), 0u);
+}
+
 TEST(Simulator, CancelInvalidIdIsSafe) {
   Simulator sim;
   EXPECT_FALSE(sim.cancel(EventId{}));
@@ -281,6 +310,44 @@ TEST(Watchdog, AdvancingTimeResetsTheStallStreak) {
   sim.run_until(30_us);
   EXPECT_FALSE(sim.aborted());
   EXPECT_EQ(ticks, 40);
+}
+
+// With both guards armed, each trips at exactly its own count.
+TEST(Watchdog, BothGuardsTripAtExactlyTheirCount) {
+  {
+    Simulator sim;
+    sim.set_watchdog(WatchdogParams{.max_events = 7, .max_events_per_timestamp = 3});
+    int ran = 0;
+    for (int i = 1; i <= 20; ++i) {  // two per timestamp: no stall
+      sim.at(TimePs::from_us(i), [&] { ++ran; });
+      sim.at(TimePs::from_us(i), [&] { ++ran; });
+    }
+    sim.run_until(30_us);
+    EXPECT_EQ(ran, 7);
+    EXPECT_EQ(sim.executed(), 7u);
+    EXPECT_EQ(sim.abort_cause(), AbortCause::kEventBudget);
+    EXPECT_EQ(sim.now(), 4_us);
+    EXPECT_EQ(sim.pending(), 33u);
+  }
+  {
+    Simulator sim;
+    sim.set_watchdog(WatchdogParams{.max_events = 1000, .max_events_per_timestamp = 5});
+    int ran = 0;
+    sim.at(500_ns, [&] { ++ran; });
+    std::function<void()> spin = [&] {
+      ++ran;
+      sim.after(TimePs(0), spin);
+    };
+    sim.at(1_us, spin);
+    sim.run_until(2_us);
+    // The event at 500 ns, then four at 1 us: the fifth would make the
+    // streak five.
+    EXPECT_EQ(ran, 5);
+    EXPECT_EQ(sim.executed(), 5u);
+    EXPECT_EQ(sim.abort_cause(), AbortCause::kTimestampStall);
+    EXPECT_NE(sim.abort_reason().find("5 consecutive events"), std::string::npos);
+    EXPECT_EQ(sim.now(), 1_us);
+  }
 }
 
 TEST(Watchdog, AbortedSimulatorRefusesFurtherWork) {
