@@ -35,6 +35,28 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorScheduleRun);
 
+/// Tail dispatch: an event that continues itself in place with
+/// continue_at() instead of scheduling its successor -- the root
+/// complex's per-TLP step when the translation is the next event
+/// anyway. BM_SimulatorScheduleRun's step without the queue.
+void BM_SimulatorTailDispatch(benchmark::State& state) {
+  sim::Simulator sim;
+  sim.at(TimePs(100), [&sim, &state] {
+    for (auto _ : state) {
+      const bool ran = sim.continue_at(sim.now() + TimePs(100));
+      benchmark::DoNotOptimize(ran);
+      if (!ran) {
+        state.SkipWithError("continue_at refused a step");
+        break;
+      }
+    }
+  });
+  AllocTally tally(state);
+  sim.run_until(TimePs::max());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimulatorTailDispatch);
+
 /// Event queue under depth: 1k pending events.
 void BM_SimulatorDeepQueue(benchmark::State& state) {
   sim::Simulator sim;

@@ -93,7 +93,10 @@ void PcieBus::transmit(Tlp&& tlp) {
 
 void PcieBus::arm_arrival() {
   const Tlp& head = rc_queue_.front();
-  sim_.at_reserved(head.arrive, head.seq, [this] { pump_rc(); });
+  sim_.at_reserved(head.arrive, head.seq, [this] {
+    pump_rc();
+    run_chained();
+  });
 }
 
 void PcieBus::pump_rc() {
@@ -107,20 +110,42 @@ void PcieBus::pump_rc() {
   if (head.pre_translated) {
     // ATS: the address was translated on the device; no IOMMU work and
     // no possible head-of-line walk stall.
-    sim_.after(params_.tlp_proc_time, [this] { finish_translation(); });
+    translation_done_after(params_.tlp_proc_time);
     return;
   }
   if (const iommu::Iommu::FastPath fast = iommu_.translate_fast(head.iova); fast.translated) {
-    sim_.after(params_.tlp_proc_time + fast.latency, [this] { finish_translation(); });
+    translation_done_after(params_.tlp_proc_time + fast.latency);
   } else {
     // Head-of-line page walk: everything behind waits (posted writes
     // cannot pass each other), and the credits of every queued TLP
-    // stay captive until the walk resolves.
+    // stay captive until the walk resolves. The walk's callback runs in
+    // an IOMMU event, so its translation stays an event.
     ++stats_.translation_stalls;
     iommu_.translate_slow(head.iova, [this] {
-      sim_.after(params_.tlp_proc_time + params_.walk_overhead,
-                 [this] { finish_translation(); });
+      sim_.after(params_.tlp_proc_time + params_.walk_overhead, [this] {
+        finish_translation();
+        run_chained();
+      });
     });
+  }
+}
+
+void PcieBus::translation_done_after(TimePs delay) {
+  assert(!chained_);
+  if (sim_.continue_at(sim_.now() + delay)) {
+    chained_ = true;
+    return;
+  }
+  sim_.after(delay, [this] {
+    finish_translation();
+    run_chained();
+  });
+}
+
+void PcieBus::run_chained() {
+  while (chained_) {
+    chained_ = false;
+    finish_translation();
   }
 }
 
@@ -227,7 +252,10 @@ void PcieBus::try_commit_write() {
 
 void PcieBus::arm_retirement(Retirement& r) {
   r.built = true;
-  sim_.at_reserved(r.time, r.seq, [this, seq = r.seq] { retire(seq); });
+  sim_.at_reserved(r.time, r.seq, [this, seq = r.seq] {
+    retire(seq);
+    run_chained();
+  });
 }
 
 void PcieBus::settle_retired() {

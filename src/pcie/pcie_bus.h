@@ -31,6 +31,11 @@
 // event is built, in the reserved slot, only when the step has work to
 // do -- an arrival that wakes an idle RC, a retirement that fires a
 // completion or may unblock a head waiting on the write buffer.
+//
+// A translation that the engine would run next anyway runs in place
+// (sim::Simulator::continue_at): pump_rc() is the last thing each of
+// its callers does, and every root-complex event ends by running the
+// translations it chained. See DESIGN.md §8 item 9.
 // hicc-lint: hotpath -- steady state must stay allocation-free (DESIGN.md §8).
 #pragma once
 
@@ -167,7 +172,14 @@ class PcieBus {
   void arm_arrival();
   /// Starts processing the RC queue head if idle and arrived; an idle
   /// RC whose head is still on the link arms the head's arrival.
+  /// Callers reach it in tail position: it may chain a translation.
   void pump_rc();
+  /// Finishes the head's translation `delay` from now: in place when
+  /// the engine lets it chain (chained_), else as an event.
+  void translation_done_after(TimePs delay);
+  /// The end of every root-complex event: runs the translations chained
+  /// so far, one after another (each may chain the next; none recurses).
+  void run_chained();
   /// Head TLP's translation finished; dispatch by type.
   void finish_translation();
   /// Tries to move the head posted write into the write buffer.
@@ -199,6 +211,9 @@ class PcieBus {
   /// is in flight.
   Ring<Tlp> rc_queue_;
   bool rc_busy_ = false;
+  /// A translation is running in place of its event: run_chained()
+  /// finishes it.
+  bool chained_ = false;
   bool head_waiting_wb_ = false;
   /// Committed write bytes, less the retirements settled so far.
   Bytes wb_used_{};

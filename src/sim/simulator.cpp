@@ -31,8 +31,9 @@ bool Simulator::cancel(EventId id) {
   if (n.seq != id.seq || !n.live) return false;
   n.live = false;  // tombstone; the node is reclaimed at the next scan
   n.fn = nullptr;  // release captured resources immediately
-  if (n.in_heap) ++heap_dead_;
+  ++(n.in_heap ? heap_dead_ : wheel_dead_);
   --live_;
+  next_time_ = kUnset;  // it may have been the earliest
   return true;
 }
 
@@ -42,7 +43,8 @@ bool Simulator::trip(AbortCause cause, TimePs t) {
     abort_reason_ = "event budget exhausted (" + std::to_string(watchdog_.max_events) +
                     " events executed) at t=" + std::to_string(t.us()) + "us";
   } else {
-    abort_reason_ = "no time progress: " + std::to_string(same_time_streak_) +
+    // The tripping event would have made the streak one longer.
+    abort_reason_ = "no time progress: " + std::to_string(same_time_streak_ + 1) +
                     " consecutive events at t=" + std::to_string(t.us()) +
                     "us (self-rescheduling loop?)";
   }
@@ -50,7 +52,8 @@ bool Simulator::trip(AbortCause cause, TimePs t) {
 }
 
 void Simulator::run_until(TimePs end) {
-  if (aborted()) return;
+  if (aborted() || end < now_) return;
+  chain_end_ = end;  // continue_at() chains only inside this loop
   for (;;) {
     const Candidate c = peek_min();
     if (!c.found) {
@@ -58,14 +61,15 @@ void Simulator::run_until(TimePs end) {
       break;
     }
     if (end < c.time) break;
-    if (!guard_event(c.time)) return;  // abort: now_ stays put
+    if (!begin_event(c.time, c.seq)) {  // abort: now_ stays put
+      chain_end_ = kUnset;
+      return;
+    }
     detach(c);
-    now_ = c.time;
-    passed_seq_ = c.seq;
-    ++executed_;
     node(static_cast<std::uint32_t>(c.slot)).fn();
     free_node(c.slot);
   }
+  chain_end_ = kUnset;
   // Everything issued so far at or before `end` has now run.
   now_ = end;
   passed_seq_ = next_seq_ - 1;

@@ -21,6 +21,11 @@
 // built -- with every built event in the exact (time, seq) place it
 // would have had. See DESIGN.md §8 item 6.
 //
+// Tail dispatch: continue_at(t), called as an event's last act, runs
+// the event an at(t) call would schedule in place -- under the same
+// seq, at the same step -- when that event would run next anyway, so
+// it skips the queue. See DESIGN.md §8 item 9.
+//
 // Robustness guards (src/fault/ relies on these): an optional watchdog
 // aborts runs that exhaust an event budget or stop making time progress
 // (a pathological self-rescheduling-at-now event). An abort is graceful
@@ -141,6 +146,19 @@ class Simulator {
     return t < now_ || (t == now_ && seq <= passed_seq_);
   }
 
+  /// Tail dispatch. Call it as an event's last act: when the event an
+  /// at(t) call would schedule now would also be the next to run, this
+  /// makes it the running event in place -- its seq issued, now() at
+  /// `t`, counted in executed() -- and returns true, and the caller then
+  /// does that event's work itself, before returning to the engine.
+  /// Otherwise it changes nothing, returns false, and the caller
+  /// schedules the work with at(t). It succeeds only inside
+  /// run_until(end) with `t` <= end, with no pending event at or before
+  /// `t`, with `t` inside the wheel's horizon and no cancellation
+  /// tombstone in the wheel, and when the watchdog would let the event
+  /// run. Defined inline below (hot path).
+  bool continue_at(TimePs t);
+
   /// Cancels a pending event. Returns true if the event had not yet run
   /// (or been cancelled). Safe to call with an invalid id, and with the
   /// id of an event that already executed. O(1): the node is tombstoned
@@ -149,12 +167,14 @@ class Simulator {
   bool cancel(EventId id);
 
   /// Runs all events with time <= `end`, then sets now() == end. After
-  /// a watchdog abort, returns immediately and now() stays put.
+  /// a watchdog abort, returns immediately and now() stays put. An
+  /// `end` before now() is a no-op: the clock never runs backwards.
   void run_until(TimePs end);
 
   /// Pops and runs the single earliest event. Returns false if idle or
-  /// aborted. Defined inline below: this is the engine's innermost
-  /// loop, and the call overhead is measurable at ~19ns/event.
+  /// aborted. Its events cannot chain: continue_at() refuses inside it.
+  /// Defined inline below: this is the engine's innermost loop, and the
+  /// call overhead is measurable at ~19ns/event.
   bool run_one();
 
   /// Number of events scheduled but not yet run or cancelled. Exact:
@@ -302,24 +322,32 @@ class Simulator {
     const std::uint64_t head = bucket_bits_[w0] & (~0ull << b0);
     if (head != 0)
       return std::countr_zero(head) - static_cast<std::int64_t>(b0);
-    for (std::uint64_t k = 1; k < 64; ++k) {
-      const std::uint64_t w = (w0 + k) & 63;
-      if ((bucket_summary_ >> w) & 1ull) {
-        return static_cast<std::int64_t>((k << 6) +
-                                         std::countr_zero(bucket_bits_[w])) -
-               static_cast<std::int64_t>(b0);
-      }
-    }
-    const std::uint64_t tail = bucket_bits_[w0] & ~(~0ull << b0);
-    if (tail != 0)
-      return static_cast<std::int64_t>(kBuckets + std::countr_zero(tail)) -
-             static_cast<std::int64_t>(b0);
-    return -1;
+    // The first non-empty word after w0, circularly: k in 1..64, where
+    // k == 64 is w0 itself, whose set bits then all lie below b0.
+    const std::uint64_t k =
+        1 + static_cast<std::uint64_t>(std::countr_zero(
+                std::rotr(bucket_summary_, static_cast<int>((w0 + 1) & 63))));
+    return static_cast<std::int64_t>((k << 6) +
+                                     std::countr_zero(bucket_bits_[(w0 + k) & 63])) -
+           static_cast<std::int64_t>(b0);
   }
   /// Locates the earliest live event without removing it, reclaiming
   /// any tombstones passed over on the way. Defined inline below (hot
   /// path).
   Candidate peek_min();
+
+  /// The guard that an event at `t` would trip if it ran next, or
+  /// kNone. Reads only: continue_at() asks it before taking a step.
+  [[nodiscard]] AbortCause guard_verdict(TimePs t) const {
+    if (watchdog_.max_events != 0 && executed_ >= watchdog_.max_events) {
+      return AbortCause::kEventBudget;
+    }
+    if (watchdog_.max_events_per_timestamp != 0 && executed_ > 0 && t == last_exec_time_ &&
+        same_time_streak_ + 1 >= watchdog_.max_events_per_timestamp) {
+      return AbortCause::kTimestampStall;
+    }
+    return AbortCause::kNone;
+  }
 
   /// Checks the watchdog before executing the event at `t`. Returns
   /// false (and records the abort) when a guard trips. Inline: runs
@@ -328,23 +356,34 @@ class Simulator {
   bool guard_event(TimePs t) {
     if ((watchdog_.max_events | watchdog_.max_events_per_timestamp) == 0)
       return true;
-    if (watchdog_.max_events != 0 && executed_ >= watchdog_.max_events) {
-      return trip(AbortCause::kEventBudget, t);
+    if (const AbortCause cause = guard_verdict(t); cause != AbortCause::kNone) {
+      return trip(cause, t);
     }
     if (watchdog_.max_events_per_timestamp != 0) {
-      if (executed_ > 0 && t == last_exec_time_) {
-        if (++same_time_streak_ >= watchdog_.max_events_per_timestamp) {
-          return trip(AbortCause::kTimestampStall, t);
-        }
-      } else {
-        same_time_streak_ = 1;
-      }
+      same_time_streak_ = executed_ > 0 && t == last_exec_time_ ? same_time_streak_ + 1 : 1;
     }
     last_exec_time_ = t;
     return true;
   }
   /// Records a watchdog abort at `t`; returns false.
   bool trip(AbortCause cause, TimePs t);
+
+  /// One event step, shared by run_one(), run_until() and
+  /// continue_at(): checks the watchdog, then makes `(t, seq)` the
+  /// running event -- now(), the passed() slot and the executed()
+  /// count. Returns false, changing nothing but the abort record, when
+  /// a guard trips.
+  bool begin_event(TimePs t, std::uint64_t seq) {
+    if (!guard_event(t)) return false;
+    now_ = t;
+    passed_seq_ = seq;
+    ++executed_;
+    return true;
+  }
+
+  /// next_time_ before peek_min() has been asked, and chain_end_
+  /// outside run_until(): no time compares below it.
+  static constexpr TimePs kUnset{INT64_MIN};
 
   TimePs now_{};
   std::uint64_t next_seq_ = 1;
@@ -355,6 +394,14 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;      // scheduled, not yet run or cancelled
   std::size_t occupied_ = 0;  // slab nodes in use (live + tombstones)
+
+  /// Tail dispatch state. chain_end_ is the running run_until()'s end
+  /// (kUnset outside it). next_time_ is the earliest pending event's
+  /// time (TimePs::max() when none), from one peek_min() per chain:
+  /// insert() lowers it, and every pop and cancel() resets it to
+  /// kUnset, which no insert lowers.
+  TimePs chain_end_ = kUnset;
+  TimePs next_time_ = kUnset;
 
   std::vector<std::unique_ptr<Node[]>> chunks_;  // slab pool, stable addresses
   std::uint32_t node_count_ = 0;                 // slots ever created
@@ -373,6 +420,10 @@ class Simulator {
   /// Cancelled entries still in heap_: while zero, the heap's top is
   /// live and peek_min() need not read its node.
   std::size_t heap_dead_ = 0;
+  /// Cancelled nodes still in bucket chains. continue_at() refuses
+  /// while any is left, so peek_min() reclaims them at the same calls
+  /// with or without tail dispatch.
+  std::size_t wheel_dead_ = 0;
 
   WatchdogParams watchdog_;
   AbortCause abort_cause_ = AbortCause::kNone;
@@ -408,6 +459,7 @@ inline EventId Simulator::insert(TimePs t, std::uint64_t seq) {
     std::push_heap(heap_.begin(), heap_.end());
   }
   ++live_;
+  if (t < next_time_) next_time_ = t;
   return EventId{seq, static_cast<std::uint32_t>(slot)};
 }
 
@@ -466,6 +518,7 @@ inline Simulator::Candidate Simulator::peek_min() {
         (prev == kNil ? bucket_head_[idx]
                       : node(static_cast<std::uint32_t>(prev)).next) = next;
         free_node(slot);
+        --wheel_dead_;
         slot = next;
         continue;
       }
@@ -509,6 +562,7 @@ inline void Simulator::detach(const Candidate& c) {
   }
   n.live = false;  // cancel() on this id now correctly reports "already ran"
   --live_;
+  next_time_ = kUnset;
 }
 
 inline bool Simulator::run_one() {
@@ -518,16 +572,36 @@ inline bool Simulator::run_one() {
     assert(live_ == 0 && "an idle queue cannot hold live events");
     return false;
   }
-  if (!guard_event(c.time)) return false;  // abort: the event stays pending
+  if (!begin_event(c.time, c.seq)) return false;  // abort: the event stays pending
   detach(c);
-  now_ = c.time;
-  passed_seq_ = c.seq;
-  ++executed_;
   // Chunk addresses are stable, so the closure runs in place -- no
   // 80-byte move-out per event. The slot is only reclaimed afterwards,
   // so anything the closure schedules cannot reuse it mid-invoke.
   node(static_cast<std::uint32_t>(c.slot)).fn();
   free_node(c.slot);
+  return true;
+}
+
+inline bool Simulator::continue_at(TimePs t) {
+  if (t < now_) t = now_;  // at()'s past-time clamp
+  // Past the running run_until()'s end (or outside one), an at(t) event
+  // would wait for a later run. Past the horizon it would enter the
+  // heap, where peek_min() stops its dead-entry purge at it. And a
+  // wheel tombstone could be reclaimed at another scan than with at(),
+  // which queued_nodes() would show (DESIGN.md §8 item 9).
+  if (chain_end_ < t || wheel_dead_ != 0 ||
+      (static_cast<std::uint64_t>(t.ps()) >> kWidthBits) >= now_bucket() + kBuckets) {
+    return false;
+  }
+  if (next_time_ == kUnset) {
+    const Candidate c = peek_min();
+    next_time_ = c.found ? c.time : TimePs::max();
+  }
+  // A pending event at `t` has a smaller seq, so it runs first; so does
+  // the at() event when a guard would trip on it, and then it stays
+  // pending as the run aborts.
+  if (next_time_ <= t || guard_verdict(t) != AbortCause::kNone) return false;
+  begin_event(t, next_seq_++);
   return true;
 }
 

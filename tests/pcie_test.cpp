@@ -1,10 +1,12 @@
 // Tests for the PCIe link + root complex: rate math, credit flow
 // control and conservation, ordered-pipeline translation stalls, write
 // buffer backpressure under memory contention, the read path, burst
-// completion, and the lazily settled occupancy counters.
+// completion, the lazily settled occupancy counters, and translations
+// chained in place of their events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -403,5 +405,87 @@ TEST(PcieBus, LazyCountersMatchLedgers) {
   EXPECT_TRUE(lazy.samples == ledger.samples);
   EXPECT_LT(lazy.events, ledger.events);
 }
+// Translations the engine would run next run in place of their events
+// (tail dispatch). IOTLB hits, page walks, ATS TLPs, reads and write
+// buffer stalls are driven by run_until() -- in one call, and in 37 ns
+// slices whose ends stop chains -- and by run_one(), under which
+// nothing chains. Every completion fires once, in the same order and at
+// the same time under all three, and the root complex drains.
+TEST(PcieBus, TailDispatchCompletesEveryTlpInOrder) {
+  struct Done {
+    int tlp;
+    std::int64_t at;
+    bool operator==(const Done&) const = default;
+  };
+  struct Run {
+    std::vector<Done> log;
+    PcieStats stats;
+    std::size_t rc_depth = 0;
+    Bytes credits_free{};
+  };
+  enum class Drive { kRunOne, kRunUntil, kSlices };
+  constexpr int kTlps = 3000;
+  const TimePs end = 400_us;
+  auto run = [&](Drive drive) {
+    Harness h(/*iommu_on=*/true, /*antagonist_cores=*/15);
+    // Four hot pages, and every 32nd TLP on one of 64 cold pages that
+    // cycle past the IOTLB.
+    const auto rid = h.iommu->map_region(Bytes::mib(2.0 * (4 + 64)), iommu::PageSize::k2M);
+    const auto& region = h.iommu->region(rid);
+    Run r;
+    int sent = 0;
+    auto pump = [&] {
+      while (sent < kTlps && h.bus->can_send_write(256_B)) {
+        const int tlp = sent++;
+        const std::int64_t page = tlp % 32 == 0 ? 4 + (tlp / 32) % 64 : tlp % 4;
+        const iommu::Iova iova = region.page_iova(page);
+        PcieBus::CompletionFn done = [&r, &h, tlp] { r.log.push_back({tlp, h.sim.now().ps()}); };
+        if (tlp % 7 == 3) {
+          h.bus->send_read(iova, 64_B, std::move(done));
+        } else {
+          h.bus->send_write_tlp(iova, 256_B, std::move(done), /*pre_translated=*/tlp % 5 == 1);
+        }
+      }
+    };
+    h.bus->on_credits_available(pump);
+    pump();
+    if (drive == Drive::kRunOne) {
+      while (h.sim.now() < end) {
+        if (!h.sim.run_one()) break;
+      }
+    } else {
+      if (drive == Drive::kSlices) {
+        for (TimePs t = h.sim.now(); t < end; t += 37_ns) h.sim.run_until(t);
+      }
+      h.sim.run_until(end);
+    }
+    r.stats = h.bus->stats();
+    r.rc_depth = h.bus->rc_queue_depth();
+    r.credits_free = h.bus->credits_free();
+    return r;
+  };
+  const Run one = run(Drive::kRunOne);
+  const Run whole = run(Drive::kRunUntil);
+  const Run sliced = run(Drive::kSlices);
+
+  ASSERT_EQ(whole.log.size(), static_cast<std::size_t>(kTlps));
+  std::vector<int> fired(kTlps, 0);
+  for (const Done& d : whole.log) ++fired[static_cast<std::size_t>(d.tlp)];
+  EXPECT_EQ(std::count(fired.begin(), fired.end(), 1), kTlps);
+  EXPECT_LT(whole.log.back().at, end.ps());
+  EXPECT_EQ(whole.rc_depth, 0u);
+  EXPECT_EQ(whole.credits_free, PcieParams{}.credit_bytes);
+  EXPECT_GT(whole.stats.translation_stalls, 0);
+  EXPECT_GT(whole.stats.write_buffer_stalls, 0);
+  EXPECT_GT(whole.stats.read_tlps, 0);
+  EXPECT_TRUE(whole.log == one.log);
+  EXPECT_TRUE(whole.log == sliced.log);
+  EXPECT_EQ(sliced.rc_depth, 0u);
+  EXPECT_EQ(whole.stats.translation_stalls, one.stats.translation_stalls);
+  EXPECT_EQ(whole.stats.write_buffer_stalls, one.stats.write_buffer_stalls);
+  EXPECT_EQ(whole.stats.translation_stalls, sliced.stats.translation_stalls);
+  EXPECT_EQ(whole.stats.write_buffer_stalls, sliced.stats.write_buffer_stalls);
+}
+
 }  // namespace
 }  // namespace hicc::pcie

@@ -1,7 +1,8 @@
 // Unit tests for the discrete-event engine: ordering, cancellation,
 // determinism, periodic tasks, watchdog guards, allocation behavior,
-// InlineAction semantics, reference-model goldens checks (plain and
-// with reserved slots), and a queueing sanity property.
+// InlineAction semantics, reference-model goldens checks (plain, with
+// reserved slots, and with tail dispatch against a twin), and a
+// queueing sanity property.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -159,6 +162,23 @@ TEST(Simulator, PendingCountsUncancelledOnly) {
   EXPECT_EQ(sim.pending(), 1u);
   sim.run_until(3_us);
   EXPECT_EQ(sim.pending(), 0u);
+}
+
+// An end before now() must not move the clock back: an event scheduled
+// next would otherwise run at a time before one that already ran.
+TEST(Simulator, RunUntilBeforeNowIsANoOp) {
+  Simulator sim;
+  std::vector<TimePs> ran;
+  sim.at(10_us, [&] { ran.push_back(sim.now()); });
+  sim.run_until(20_us);
+  const std::uint64_t later = sim.reserve_seq();  // issued after that run
+  sim.run_until(5_us);
+  EXPECT_EQ(sim.now(), 20_us);
+  EXPECT_FALSE(sim.passed(20_us, later));  // the passed() slot stays put too
+  sim.at(6_us, [&] { ran.push_back(sim.now()); });  // the past: clamped to 20 us
+  sim.run_until(30_us);
+  EXPECT_EQ(ran, (std::vector<TimePs>{10_us, 20_us}));
+  EXPECT_EQ(sim.executed(), 2u);
 }
 
 TEST(Simulator, RunOneExecutesExactlyOne) {
@@ -348,6 +368,66 @@ TEST(Watchdog, BothGuardsTripAtExactlyTheirCount) {
     EXPECT_NE(sim.abort_reason().find("5 consecutive events"), std::string::npos);
     EXPECT_EQ(sim.now(), 1_us);
   }
+}
+
+// A self-continuing event that runs into a guard stops exactly where
+// its twin, which schedules every step with at(), stops: the tripping
+// step stays pending, with the same count, clock and reason.
+TEST(Watchdog, TailDispatchTripsAtExactlyTheCount) {
+  struct End {
+    int ran;
+    std::uint64_t executed;
+    std::size_t pending;
+    TimePs now;
+    AbortCause cause;
+    std::string reason;
+  };
+  // Each step is `gap(n)` after the one before, n counting the steps.
+  auto run = [](WatchdogParams wd, TimePs (*gap)(int), bool chain) {
+    Simulator sim;
+    sim.set_watchdog(wd);
+    int ran = 0;
+    std::function<void()> step = [&] {
+      // Bounded, so a chain that outruns its guard fails, not spins.
+      while (++ran < 5'000) {
+        const TimePs t = sim.now() + gap(ran);
+        if (!chain || !sim.continue_at(t)) {
+          sim.at(t, step);
+          return;
+        }
+      }
+    };
+    sim.at(500_ns, [&] { ++ran; });
+    sim.at(1_us, step);
+    sim.run_until(1_ms);
+    return End{ran, sim.executed(), sim.pending(), sim.now(), sim.abort_cause(),
+                sim.abort_reason()};
+  };
+  auto expect_twins = [&](WatchdogParams wd, TimePs (*gap)(int), std::uint64_t executed,
+                          AbortCause cause) {
+    const End chain = run(wd, gap, true);
+    const End twin = run(wd, gap, false);
+    EXPECT_EQ(chain.executed, executed);
+    EXPECT_EQ(chain.cause, cause);
+    EXPECT_EQ(chain.ran, twin.ran);
+    EXPECT_EQ(chain.executed, twin.executed);
+    EXPECT_EQ(chain.pending, twin.pending);
+    EXPECT_EQ(chain.pending, 1u);  // the step that would have tripped
+    EXPECT_EQ(chain.now, twin.now);
+    EXPECT_EQ(chain.cause, twin.cause);
+    EXPECT_EQ(chain.reason, twin.reason);
+  };
+  expect_twins({.max_events = 50}, [](int) { return 1_ns; }, 50, AbortCause::kEventBudget);
+  expect_twins({.max_events_per_timestamp = 5}, [](int) { return TimePs(0); }, 5,
+               AbortCause::kTimestampStall);
+  // Three steps per timestamp, under the stall threshold of four, until
+  // the budget runs out mid-timestamp; then a stall under a budget.
+  expect_twins({.max_events = 1000, .max_events_per_timestamp = 4},
+               [](int n) { return n % 3 == 0 ? 1_ns : TimePs(0); }, 1000,
+               AbortCause::kEventBudget);
+  expect_twins({.max_events = 1000, .max_events_per_timestamp = 4},
+               [](int n) { return n < 30 ? 1_ns : TimePs(0); }, 32,
+               AbortCause::kTimestampStall);
 }
 
 TEST(Watchdog, AbortedSimulatorRefusesFurtherWork) {
@@ -721,6 +801,338 @@ TEST(Simulator, ReservedEventsKeepTheirPlace) {
   EXPECT_EQ(sim.executed(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     ASSERT_EQ(executed[i], expect[i]) << "divergence at position " << i;
+  }
+}
+
+// ------------------------------------------------------- tail dispatch
+
+// continue_at() takes the place of an at() event only where that event
+// would run next, and a refusal changes nothing: no seq is issued and
+// the clock stays put.
+TEST(Simulator, ContinueAtRunsOnlyWhatWouldRunNext) {
+  {  // Between runs and inside run_one() no run_until() end bounds a chain.
+    Simulator sim;
+    EXPECT_FALSE(sim.continue_at(1_us));
+    bool got = true;
+    sim.at(1_us, [&] { got = sim.continue_at(2_us); });
+    EXPECT_TRUE(sim.run_one());
+    EXPECT_FALSE(got);
+    sim.run_until(5_us);
+    EXPECT_FALSE(sim.continue_at(5_us));
+    EXPECT_EQ(sim.now(), 5_us);
+    EXPECT_EQ(sim.executed(), 1u);
+  }
+  {  // Up to the running run_until()'s end, inclusive.
+    Simulator sim;
+    std::vector<bool> got;
+    std::vector<std::uint64_t> seqs;
+    TimePs chained{};
+    sim.at(1_us, [&] {
+      seqs.push_back(sim.reserve_seq());
+      got.push_back(sim.continue_at(10_us + TimePs(1)));
+      seqs.push_back(sim.reserve_seq());  // a refusal issues no seq
+      got.push_back(sim.continue_at(10_us));
+      chained = sim.now();
+      seqs.push_back(sim.reserve_seq());  // ...and a step issues one
+    });
+    sim.run_until(10_us);
+    EXPECT_EQ(got, (std::vector<bool>{false, true}));
+    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{2, 3, 5}));
+    EXPECT_EQ(chained, 10_us);
+    EXPECT_EQ(sim.executed(), 2u);
+  }
+  {  // A pending event at `t` has the smaller seq, so it runs first.
+    Simulator sim;
+    std::vector<bool> got;
+    sim.at(2_us, [] {});
+    sim.at(1_us, [&] {
+      got.push_back(sim.continue_at(2_us));
+      got.push_back(sim.continue_at(2_us - TimePs(1)));  // runs at 2 us - 1 ps
+      got.push_back(sim.continue_at(1500_ns));           // the past: clamped to now()
+      got.push_back(sim.continue_at(2_us));
+    });
+    sim.run_until(10_us);
+    EXPECT_EQ(got, (std::vector<bool>{false, true, true, false}));
+    EXPECT_EQ(sim.executed(), 4u);
+  }
+  {  // So has an event built with at_reserved() or at() during a chain.
+    Simulator sim;
+    std::vector<bool> got;
+    const std::uint64_t slot = sim.reserve_seq();
+    sim.at(1_us, [&] {
+      got.push_back(sim.continue_at(2_us));
+      sim.at_reserved(3_us, slot, [] {});
+      got.push_back(sim.continue_at(3_us));
+      got.push_back(sim.continue_at(3_us - TimePs(1)));
+      sim.at(4_us, [] {});
+      got.push_back(sim.continue_at(4_us));
+    });
+    sim.run_until(10_us);
+    EXPECT_EQ(got, (std::vector<bool>{true, false, true, false}));
+    EXPECT_EQ(sim.executed(), 5u);
+  }
+  {  // Cancelling the front: a far-future heap entry's dead top is purged
+     // by the next look, and a wheel tombstone refuses until the run's
+     // scan reclaims it.
+    Simulator sim;
+    std::vector<bool> got;
+    const EventId heap_front = sim.at(40_us, [] {});  // past the horizon at 0
+    sim.at(10_us, [&] {
+      got.push_back(sim.continue_at(41_us));
+      sim.cancel(heap_front);
+      got.push_back(sim.continue_at(41_us));
+      const EventId wheel_front = sim.at(42_us, [] {});
+      sim.cancel(wheel_front);
+      got.push_back(sim.continue_at(41_us + TimePs(1)));
+    });
+    sim.at(50_us, [&] { got.push_back(sim.continue_at(51_us)); });
+    sim.run_until(100_us);
+    EXPECT_EQ(got, (std::vector<bool>{false, true, false, true}));
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(sim.queued_nodes(), 0u);
+  }
+  // Past the wheel's horizon an at() event enters the heap, where it
+  // stops peek_min()'s purge of dead entries at itself: a dead entry
+  // behind it stays queued while it runs.
+  for (const bool chain : {false, true}) {
+    Simulator sim;
+    const EventId dead = sim.at(100_us, [] {});
+    sim.at(200_us, [] {});
+    bool got = false;
+    std::size_t queued = 0;
+    sim.at(1_us, [&] {
+      sim.cancel(dead);
+      auto far = [&] { queued = sim.queued_nodes(); };
+      got = chain && sim.continue_at(50_us);
+      if (got) {
+        far();
+      } else {
+        sim.at(50_us, far);
+      }
+    });
+    sim.run_until(1_ms);
+    EXPECT_FALSE(got);
+    EXPECT_EQ(queued, 3u);  // itself, the dead entry and the one at 200 us
+  }
+}
+
+/// One side of TailDispatchKeepsEveryEventsPlace: a random workload
+/// whose events end with continue_at() -- running the next event in
+/// place on success, scheduling it with at() on a refusal -- with a
+/// plain at(), or with nothing. The twin (`chain` false) makes every
+/// continue_at() an at(), which fixes the order both must follow.
+class TailWorkload {
+ public:
+  /// What the workload saw at one executed event, or after a run.
+  struct Look {
+    std::size_t label;
+    std::int64_t now;
+    std::uint64_t executed;
+    std::size_t pending;
+    std::size_t queued;
+    std::uint64_t passed;  // hash of passed() over every slot so far
+    bool operator==(const Look&) const = default;
+    friend std::ostream& operator<<(std::ostream& os, const Look& l) {
+      return os << "{label " << l.label << ", now " << l.now << ", executed " << l.executed
+                << ", pending " << l.pending << ", queued " << l.queued << ", passed "
+                << l.passed << "}";
+    }
+  };
+  static constexpr std::size_t kNone = SIZE_MAX;
+
+  explicit TailWorkload(bool chain) : chain_(chain) {}
+  // Its events capture `this`.
+  TailWorkload(const TailWorkload&) = delete;
+  TailWorkload& operator=(const TailWorkload&) = delete;
+
+  /// Schedules, reserves, builds and cancels at random between runs,
+  /// then runs to a random end (sometimes before now(): a no-op).
+  void round(std::uint64_t r) {
+    Rnd rnd{r * 0x9E3779B97F4A7C15ull};
+    for (int i = 0; i < 48; ++i) {
+      const std::int64_t when = now() + pick_dt(rnd);
+      if (rnd() % 3 == 0) {
+        reserve(when);
+      } else {
+        add_event(when, kNone, /*cancelable=*/true);
+      }
+    }
+    for (int i = 0; i < 8; ++i) {
+      build_one(rnd);
+      cancel_one(rnd);
+    }
+    const std::int64_t end =
+        rnd() % 8 == 0 ? now() - 1 : now() + static_cast<std::int64_t>(rnd() % 50'000'000);
+    run_until(end);
+  }
+  /// Runs everything left, far-future events included.
+  void drain() { run_until(TimePs::from_sec(10).ps()); }
+
+  std::vector<Look> looks;
+  std::vector<std::uint64_t> seqs() const {
+    std::vector<std::uint64_t> out;
+    for (const Slot& s : slots_) out.push_back(s.seq);
+    return out;
+  }
+  std::vector<bool> cancels;
+  /// Labels run in place by continue_at().
+  std::vector<std::size_t> chained;
+  /// Tail labels that ran right after the event that scheduled them,
+  /// in the same run.
+  std::vector<std::size_t> ran_next;
+  std::size_t continues = 0;  // continue_at() calls, or their at() stand-ins
+  [[nodiscard]] const Simulator& sim() const { return sim_; }
+
+ private:
+  struct Rnd {
+    std::uint64_t state;
+    std::uint64_t operator()() {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      return state >> 33;
+    }
+  };
+  struct Slot {
+    std::int64_t time;
+    std::uint64_t seq;
+    std::size_t parent;  // the event whose tail scheduled it, or kNone
+    EventId id{};
+  };
+
+  [[nodiscard]] std::int64_t now() const { return sim_.now().ps(); }
+
+  static std::int64_t pick_dt(Rnd& rnd) {
+    switch (rnd() % 8) {
+      case 0: return 0;  // a tie at now()
+      case 1:
+      case 2: return static_cast<std::int64_t>(rnd() % 4'000);  // this bucket or the next
+      case 3: return static_cast<std::int64_t>(rnd() % 200'000);
+      case 4:  // past the 33.5 us wheel: the far-future heap
+        return 40'000'000 + static_cast<std::int64_t>(rnd() % 1'000'000'000);
+      default: return static_cast<std::int64_t>(rnd() % 30'000'000);
+    }
+  }
+
+  void run_until(std::int64_t end) {
+    ++run_;
+    sim_.run_until(TimePs(end));
+    looks.push_back(look(kNone));
+  }
+
+  std::size_t add_event(std::int64_t when, std::size_t parent, bool cancelable) {
+    const std::size_t k = slots_.size();
+    const EventId id = sim_.at(TimePs(when), [this, k] { fire(k); });
+    slots_.push_back({when, id.seq, parent, id});
+    issued_ = id.seq;
+    if (cancelable) cancelable_.push_back(k);
+    return k;
+  }
+  void reserve(std::int64_t when) {
+    issued_ = sim_.reserve_seq();
+    unbuilt_.push_back(slots_.size());
+    slots_.push_back({when, issued_, kNone});
+  }
+  /// Builds a random reservation the engine has not passed; one it
+  /// has passed stays a slot that never runs.
+  void build_one(Rnd& rnd) {
+    if (unbuilt_.empty()) return;
+    const std::size_t i = rnd() % unbuilt_.size();
+    const std::size_t k = unbuilt_[i];
+    unbuilt_[i] = unbuilt_.back();
+    unbuilt_.pop_back();
+    Slot& s = slots_[k];
+    if (sim_.passed(TimePs(s.time), s.seq)) return;
+    s.id = sim_.at_reserved(TimePs(s.time), s.seq, [this, k] { fire(k); });
+    cancelable_.push_back(k);
+  }
+  void cancel_one(Rnd& rnd) {
+    if (cancelable_.empty()) return;
+    cancels.push_back(sim_.cancel(slots_[cancelable_[rnd() % cancelable_.size()]].id));
+  }
+
+  /// An event's closure: its step, then every step it chains, in turn.
+  void fire(std::size_t k) {
+    for (std::size_t next = k; next != kNone;) next = step(next);
+  }
+
+  /// Runs event `k`; returns the label it chained, or kNone. Its
+  /// choices depend on its label alone.
+  std::size_t step(std::size_t k) {
+    Rnd rnd{0xD1B54A32D192ED03ull ^ (k * 0x100000001B3ull)};
+    if (slots_[k].parent != kNone && slots_[k].parent == last_ && last_run_ == run_) {
+      ran_next.push_back(k);
+    }
+    last_ = k;
+    last_run_ = run_;
+    looks.push_back(look(k));
+    switch (rnd() % 8) {
+      case 0: add_event(now() + pick_dt(rnd), kNone, /*cancelable=*/true); break;
+      case 1: reserve(now() + pick_dt(rnd)); break;
+      case 2: build_one(rnd); break;
+      case 3: cancel_one(rnd); break;
+      default: break;
+    }
+    const std::int64_t t = now() + pick_dt(rnd);
+    switch (rnd() % 4) {
+      case 0: return kNone;
+      case 1: add_event(t, k, /*cancelable=*/true); return kNone;
+      default: break;
+    }
+    ++continues;
+    if (chain_ && sim_.continue_at(TimePs(t))) {
+      chained.push_back(slots_.size());
+      slots_.push_back({t, ++issued_, k});  // the seq at() would have issued
+      return slots_.size() - 1;
+    }
+    add_event(t, k, /*cancelable=*/false);
+    return kNone;
+  }
+
+  Look look(std::size_t label) const {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const Slot& s : slots_) {
+      h = (h ^ (sim_.passed(TimePs(s.time), s.seq) ? 1u : 0u)) * 0x100000001b3ull;
+    }
+    return {label, now(), sim_.executed(), sim_.pending(), sim_.queued_nodes(), h};
+  }
+
+  const bool chain_;
+  Simulator sim_;
+  std::vector<Slot> slots_;
+  std::vector<std::size_t> unbuilt_;
+  std::vector<std::size_t> cancelable_;
+  std::uint64_t issued_ = 0;  // the last seq the engine issued
+  std::size_t last_ = kNone;  // the last event run, and in which run
+  std::uint64_t last_run_ = 0;
+  std::uint64_t run_ = 0;
+};
+
+// Tail dispatch golden: continue_at() must leave every event in the place
+// at() gives it. The chained workload and its twin must see the same
+// label, now() and passed() at every event, and the same executed(),
+// pending() and queued_nodes() there and after every run. Chaining
+// must happen, and only where the twin ran the event next anyway.
+TEST(Simulator, TailDispatchKeepsEveryEventsPlace) {
+  TailWorkload chain(true);
+  TailWorkload twin(false);
+  for (std::uint64_t r = 1; r <= 16; ++r) {
+    chain.round(r);
+    twin.round(r);
+  }
+  chain.drain();
+  twin.drain();
+  for (std::size_t i = 0; i < std::min(chain.looks.size(), twin.looks.size()); ++i) {
+    ASSERT_EQ(chain.looks[i], twin.looks[i]) << "divergence at look " << i;
+  }
+  ASSERT_EQ(chain.looks.size(), twin.looks.size());
+  EXPECT_EQ(chain.seqs(), twin.seqs());
+  EXPECT_EQ(chain.cancels, twin.cancels);
+  EXPECT_EQ(chain.sim().pending(), 0u);
+  EXPECT_EQ(chain.sim().queued_nodes(), 0u);
+  EXPECT_EQ(chain.ran_next, twin.ran_next);
+  EXPECT_GT(chain.looks.size(), 3'000u);
+  EXPECT_GT(chain.chained.size(), chain.continues / 3);
+  for (const std::size_t k : chain.chained) {
+    EXPECT_TRUE(std::binary_search(twin.ran_next.begin(), twin.ran_next.end(), k)) << k;
   }
 }
 
