@@ -477,38 +477,11 @@ int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
   const std::string json_path = flags.str("json", "");
   const std::string columnar_path = flags.str("columnar-out", "");
   if (!json_path.empty() || !columnar_path.empty()) {
-    // One hicc.sweep.v1 point per receiver host: the effective per-host
-    // config, that receiver's Metrics, and extras carrying the host
-    // index, its fabric-port state, and its slice of the trace probes.
-    // Workload runs add the cluster-merged sketch quantiles as
-    // workload.* extras (identical on every row by construction).
-    std::vector<hicc::sweep::SweepResult> points(
-        static_cast<std::size_t>(exp.num_receivers()));
-    for (int r = 0; r < exp.num_receivers(); ++r) {
-      hicc::sweep::SweepResult& p = points[static_cast<std::size_t>(r)];
-      p.index = static_cast<std::size_t>(r);
-      p.config = exp.config().host;
-      p.metrics = cm.per_receiver[static_cast<std::size_t>(r)];
-      p.extra["host"] = r;
-      p.extra["cluster.port_drops"] =
-          static_cast<double>(exp.fabric().host_port_drops(r));
-      p.extra["cluster.port_queue_bytes"] =
-          static_cast<double>(exp.fabric().host_queue(r).count());
-      if (cm.workload.enabled) {
-        p.extra["workload.flows_started"] = static_cast<double>(cm.workload.flows_started);
-        p.extra["workload.flows_completed"] =
-            static_cast<double>(cm.workload.flows_completed);
-        p.extra["workload.pool_exhausted"] = static_cast<double>(cm.workload.pool_exhausted);
-        p.extra["workload.active_flows"] = static_cast<double>(cm.workload.active_flows);
-        p.extra["workload.fct_p50_us"] = cm.workload.fct_p50_us;
-        p.extra["workload.fct_p99_us"] = cm.workload.fct_p99_us;
-        p.extra["workload.fct_p999_us"] = cm.workload.fct_p999_us;
-        p.extra["workload.slowdown_p50"] = cm.workload.slowdown_p50;
-        p.extra["workload.slowdown_p99"] = cm.workload.slowdown_p99;
-        p.extra["workload.slowdown_p999"] = cm.workload.slowdown_p999;
-        p.extra["workload.host_delay_p99_us"] = cm.workload.host_delay_p99_us;
-        p.extra["workload.host_delay_p999_us"] = cm.workload.host_delay_p999_us;
-      }
+    // One hicc.sweep.v1 point per receiver host, plus that receiver's
+    // slice of the trace probes.
+    std::vector<hicc::sweep::SweepResult> points = hicc::sweep::cluster_points(exp, cm, 0);
+    for (hicc::sweep::SweepResult& p : points) {
+      const int r = static_cast<int>(p.index);
       for (const auto& [key, value] : probes.extra) {
         int h = -1;
         if (!host_scoped_probe(key, &h) || h == r) p.extra[key] = value;

@@ -162,7 +162,10 @@ class FileRules {
     rob_exit();
     docs_probes();
     if (sf_.path == "src/sim/parallel.h") docs_par_knobs();
-    if (sf_.path == "src/core/metrics.h") docs_run_status();
+    if (sf_.path == "src/core/metrics.h") {
+      docs_run_status();
+      docs_metric();
+    }
   }
 
  private:
@@ -590,6 +593,23 @@ class FileRules {
              "run_status label '" + label +
                  "' is not documented in docs/ROBUSTNESS.md; the failure-taxonomy table and "
                  "the enum change together");
+    }
+  }
+
+  // Every key of the Metrics visitor -- its f("key", field) calls -- is
+  // a row of the "Run metrics" table.
+  void docs_metric() {
+    for (std::size_t i = 0; i < t_.size(); ++i) {
+      if (!seq(t_, i, {{"f"}, {"("}}) || !same_line(i, i + 2) ||
+          t_[i + 2].kind != Token::Kind::kString) {
+        continue;
+      }
+      const std::string key = literal(t_[i + 2]);
+      if (key.empty() || docs_.metrics.find("| `" + key + "` |") != std::string::npos) continue;
+      report(t_[i + 2].line, t_[i + 2].col + 1, "docs-metric",
+             "metrics key '" + key +
+                 "' has no row in the Run metrics table of docs/OBSERVABILITY.md; the table "
+                 "and the Metrics visitor change together");
     }
   }
 };

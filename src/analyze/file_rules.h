@@ -20,7 +20,8 @@
 //   rob-exit               process exit outside the supervisor/worker
 //                          seam (docs/ROBUSTNESS.md)
 //   docs-probe-undocumented, docs-probe-dynamic, docs-par-knob,
-//   docs-run-status        names in code that the docs must list
+//   docs-run-status, docs-metric
+//                          names in code that the docs must list
 #pragma once
 
 #include <string>
@@ -37,6 +38,7 @@ struct ProjectDocs {
   std::string probes;       // docs/OBSERVABILITY.md + docs/FAULTS.md
   std::string parallelism;  // docs/PARALLELISM.md
   std::string robustness;   // docs/ROBUSTNESS.md
+  std::string metrics;      // docs/OBSERVABILITY.md's "Run metrics" section
 };
 
 /// Appends the per-file findings for `sf`, before suppression.

@@ -5,7 +5,9 @@
 // Rx memory region per thread, 2M hugepages, 4K MTU).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/units.h"
 #include "fault/script.h"
@@ -97,6 +99,57 @@ struct ExperimentConfig {
   /// bitwise identical to a build without the trace layer.
   trace::TraceParams trace;
 };
+
+/// A hicc.point.v1 run-control key (watchdog budget, tracing): the
+/// config visitor below yields its field wrapped in SpecOnly, so the
+/// crash-isolated worker's spec carries it while the hicc.sweep.v1
+/// record, which describes the experiment, skips it.
+template <class T>
+struct SpecOnly {
+  T& value;
+};
+
+/// The one list of config record keys: calls f(key, field) once per
+/// key in record order -- the 24 hicc.sweep.v1 config keys, with the
+/// four SpecOnly run-control keys of hicc.point.v1 before `faults`
+/// (their place in the spec). `field` is a reference into `cfg` (const
+/// when `cfg` is) of type int, std::uint64_t, double, bool, Bytes,
+/// TimePs, transport::CcAlgorithm or fault::FaultScript, or a SpecOnly
+/// of one. A key's suffix names the unit it is written in: `_bytes` a
+/// Bytes count, `_us` a TimePs in microseconds. The JSON and columnar
+/// writers, the spec writer and the spec reader (src/sweep) iterate it.
+template <class C, class F>
+  requires std::same_as<std::remove_const_t<C>, ExperimentConfig>
+void for_each_field(C& cfg, F&& f) {
+  f("num_senders", cfg.num_senders);
+  f("rx_threads", cfg.rx_threads);
+  f("read_size_bytes", cfg.read_size);
+  f("read_pipeline", cfg.read_pipeline);
+  f("iommu_enabled", cfg.iommu_enabled);
+  f("hugepages", cfg.hugepages);
+  f("data_region_bytes", cfg.data_region);
+  f("antagonist_cores", cfg.antagonist_cores);
+  f("antagonist_throttle_gbps", cfg.antagonist_throttle_gbps);
+  f("antagonist_remote_numa", cfg.antagonist_remote_numa);
+  f("ats_enabled", cfg.ats_enabled);
+  f("strict_iommu", cfg.strict_iommu);
+  f("ddio_enabled", cfg.ddio.enabled);
+  f("victim_flows", cfg.victim_flows);
+  f("victim_read_size_bytes", cfg.victim_read_size);
+  f("cc", cfg.cc);
+  f("swift_host_target_us", cfg.swift.host_target);
+  f("iotlb_entries", cfg.iommu.iotlb_entries);
+  f("nic_buffer_bytes", cfg.nic.input_buffer);
+  f("pcie_gigatransfers_per_lane", cfg.pcie.gigatransfers_per_lane);
+  f("warmup_us", cfg.warmup);
+  f("measure_us", cfg.measure);
+  f("seed", cfg.seed);
+  f("max_events", SpecOnly{cfg.watchdog.max_events});
+  f("max_events_per_timestamp", SpecOnly{cfg.watchdog.max_events_per_timestamp});
+  f("trace_enabled", SpecOnly{cfg.trace.enabled});
+  f("trace_period_us", SpecOnly{cfg.trace.sample_period});
+  f("faults", cfg.faults);
+}
 
 /// The paper's testbed as a Clos: one leaf, one spine and
 /// num_senders + 1 hosts -- host 0 the receiver, host 1+i sender i --

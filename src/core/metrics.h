@@ -8,8 +8,10 @@
 // quantities, enable tracing (docs/OBSERVABILITY.md).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "mem/memory_system.h"
 
@@ -150,5 +152,54 @@ struct Metrics {
   /// enabling the tracer adds its sampler events here.
   std::uint64_t events_executed = 0;
 };
+
+/// The one list of hicc.sweep.v1 metrics keys: calls f(key, field)
+/// once per key, in record order, with `field` a reference into `m`
+/// (const when `m` is) of type double, std::int64_t, std::uint64_t,
+/// RunStatus or std::string. The JSON and columnar writers
+/// (sweep/sweep.cpp, sweep/columnar.cpp) and the tests' comparator
+/// iterate it, and the docs-metric lint rule checks every key against
+/// the "Run metrics" table of docs/OBSERVABILITY.md.
+template <class M, class F>
+  requires std::same_as<std::remove_const_t<M>, Metrics>
+void for_each_field(M& m, F&& f) {
+  auto& by_class = m.memory.by_class_gbytes_per_sec;
+  f("app_throughput_gbps", m.app_throughput_gbps);
+  f("link_utilization", m.link_utilization);
+  f("drop_rate", m.drop_rate);
+  f("iotlb_misses_per_packet", m.iotlb_misses_per_packet);
+  f("memory_total_gbytes_per_sec", m.memory.total_gbytes_per_sec);
+  f("memory_nic_dma_gbytes_per_sec", by_class[static_cast<int>(mem::MemClass::kNicDma)]);
+  f("memory_iommu_walk_gbytes_per_sec", by_class[static_cast<int>(mem::MemClass::kIommuWalk)]);
+  f("memory_cpu_copy_gbytes_per_sec", by_class[static_cast<int>(mem::MemClass::kCpuCopy)]);
+  f("memory_antagonist_gbytes_per_sec", by_class[static_cast<int>(mem::MemClass::kAntagonist)]);
+  f("remote_memory_total_gbytes_per_sec", m.remote_memory.total_gbytes_per_sec);
+  f("host_delay_p50_us", m.host_delay_p50_us);
+  f("host_delay_p99_us", m.host_delay_p99_us);
+  f("host_delay_max_us", m.host_delay_max_us);
+  f("victim_reads", m.victim_reads);
+  f("victim_read_p50_us", m.victim_read_p50_us);
+  f("victim_read_p99_us", m.victim_read_p99_us);
+  f("data_packets_sent", m.data_packets_sent);
+  f("retransmits", m.retransmits);
+  f("rto_fires", m.rto_fires);
+  f("delivered_packets", m.delivered_packets);
+  f("nic_buffer_drops", m.nic_buffer_drops);
+  f("fabric_drops", m.fabric_drops);
+  f("iotlb_misses", m.iotlb_misses);
+  f("iotlb_lookups", m.iotlb_lookups);
+  f("pcie_translation_stalls", m.pcie_translation_stalls);
+  f("pcie_write_buffer_stalls", m.pcie_write_buffer_stalls);
+  f("hol_descriptor_stalls", m.hol_descriptor_stalls);
+  f("avg_cwnd", m.avg_cwnd);
+  f("fault_windows", m.fault_windows);
+  f("fault_drops", m.fault_drops);
+  f("fault_active_us", m.fault_active_us);
+  f("fault_blind_us", m.fault_blind_us);
+  f("run_status", m.run_status);
+  f("run_status_detail", m.run_status_detail);
+  f("simulated_seconds", m.simulated_seconds);
+  f("events_executed", m.events_executed);
+}
 
 }  // namespace hicc

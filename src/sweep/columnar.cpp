@@ -1,10 +1,9 @@
 #include "sweep/columnar.h"
 
-#include <cctype>
 #include <fstream>
+#include <optional>
 #include <ostream>
-#include <sstream>
-#include <utility>
+#include <type_traits>
 
 #include "common/fmt.h"
 
@@ -22,19 +21,6 @@ void ColumnarTable::add_row(const std::map<std::string, double>& row) {
   for (auto& [key, column] : columns_) {
     if (column.size() < rows_) column.push_back(0.0);
   }
-}
-
-std::vector<std::string> ColumnarTable::fields() const {
-  std::vector<std::string> names;
-  names.reserve(columns_.size());
-  for (const auto& [key, column] : columns_) names.push_back(key);
-  return names;
-}
-
-const std::vector<double>& ColumnarTable::column(const std::string& field) const {
-  static const std::vector<double> kEmpty;
-  const auto it = columns_.find(field);
-  return it != columns_.end() ? it->second : kEmpty;
 }
 
 void ColumnarTable::write(std::ostream& os) const {
@@ -59,131 +45,42 @@ void ColumnarTable::write(std::ostream& os) const {
   os << (columns_.empty() ? "" : "\n  ") << "}\n}\n";
 }
 
-bool ColumnarTable::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write(out);
-  return static_cast<bool>(out);
-}
-
 namespace {
 
-/// Minimal tokenizer for the exact grammar write() emits (a strict
-/// subset of JSON: string keys, double values, flat arrays).
-class Lexer {
- public:
-  explicit Lexer(std::istream& is) : is_(is) {}
+// A record value as its column: numbers as themselves, bools as 0/1,
+// Bytes as their count, TimePs in microseconds and run_status as its
+// enum code -- the JSON record's numbers. String keys (cc, faults,
+// run_status_detail) and the spec-only run-control keys have none.
+template <class T>
+  requires std::is_arithmetic_v<T>
+std::optional<double> column_value(T v) { return static_cast<double>(v); }
+std::optional<double> column_value(Bytes v) { return static_cast<double>(v.count()); }
+std::optional<double> column_value(TimePs v) { return v.us(); }
+std::optional<double> column_value(RunStatus v) { return static_cast<double>(static_cast<int>(v)); }
+std::optional<double> column_value(transport::CcAlgorithm /*v*/) { return std::nullopt; }
+std::optional<double> column_value(const fault::FaultScript& /*v*/) { return std::nullopt; }
+std::optional<double> column_value(const std::string& /*v*/) { return std::nullopt; }
+template <class T>
+std::optional<double> column_value(SpecOnly<T> /*v*/) { return std::nullopt; }
 
-  bool expect(char c) {
-    skip_ws();
-    return is_.get() == c;
-  }
-  bool peek_is(char c) {
-    skip_ws();
-    return is_.peek() == c;
-  }
-  bool string(std::string* out) {
-    if (!expect('"')) return false;
-    out->clear();
-    for (int c = is_.get(); c != '"'; c = is_.get()) {
-      if (c == EOF || c == '\\') return false;  // write() never escapes
-      out->push_back(static_cast<char>(c));
-    }
-    return true;
-  }
-  bool number(double* out) {
-    skip_ws();
-    return static_cast<bool>(is_ >> *out);
-  }
-
- private:
-  void skip_ws() {
-    while (std::isspace(is_.peek())) is_.get();
-  }
-  std::istream& is_;
-};
+// Adds every numeric key `for_each_field` yields for `fields` to `row`
+// under `prefix`.
+template <class Fields>
+void add_columns(const Fields& fields, const std::string& prefix,
+                 std::map<std::string, double>* row) {
+  for_each_field(fields, [&](const char* key, const auto& v) {
+    if (const std::optional<double> x = column_value(v)) (*row)[prefix + key] = *x;
+  });
+}
 
 }  // namespace
-
-bool ColumnarTable::parse(std::istream& is, ColumnarTable* out) {
-  Lexer lex(is);
-  std::string key;
-  std::string schema;
-  double points = 0.0;
-  if (!lex.expect('{')) return false;
-  if (!lex.string(&key) || key != "schema" || !lex.expect(':')) return false;
-  if (!lex.string(&schema) || schema != "hicc.sweepc.v1") return false;
-  if (!lex.expect(',') || !lex.string(&key) || key != "points" || !lex.expect(':')) return false;
-  if (!lex.number(&points) || points < 0.0) return false;
-
-  // The "fields" array is redundant with the "columns" keys; read and
-  // remember it to cross-check.
-  if (!lex.expect(',') || !lex.string(&key) || key != "fields" || !lex.expect(':')) return false;
-  if (!lex.expect('[')) return false;
-  std::vector<std::string> fields;
-  if (!lex.peek_is(']')) {
-    do {
-      std::string name;
-      if (!lex.string(&name)) return false;
-      fields.push_back(std::move(name));
-    } while (lex.peek_is(',') && lex.expect(','));
-  }
-  if (!lex.expect(']')) return false;
-
-  if (!lex.expect(',') || !lex.string(&key) || key != "columns" || !lex.expect(':')) return false;
-  if (!lex.expect('{')) return false;
-  ColumnarTable table;
-  table.rows_ = static_cast<std::size_t>(points);
-  std::size_t parsed = 0;
-  if (!table.columns_.empty()) return false;
-  while (!lex.peek_is('}')) {
-    if (parsed > 0 && !lex.expect(',')) return false;
-    std::string name;
-    if (!lex.string(&name) || !lex.expect(':') || !lex.expect('[')) return false;
-    std::vector<double> column;
-    column.reserve(table.rows_);
-    if (!lex.peek_is(']')) {
-      do {
-        double v = 0.0;
-        if (!lex.number(&v)) return false;
-        column.push_back(v);
-      } while (lex.peek_is(',') && lex.expect(','));
-    }
-    if (!lex.expect(']')) return false;
-    if (column.size() != table.rows_) return false;
-    table.columns_.emplace(std::move(name), std::move(column));
-    ++parsed;
-  }
-  if (!lex.expect('}') || !lex.expect('}')) return false;
-  if (parsed != fields.size()) return false;
-  for (const std::string& f : fields) {
-    if (table.columns_.find(f) == table.columns_.end()) return false;
-  }
-  *out = std::move(table);
-  return true;
-}
 
 std::map<std::string, double> flatten(const SweepResult& r) {
   std::map<std::string, double> row;
   row["index"] = static_cast<double>(r.index);
   row["wall_seconds"] = r.wall_seconds;
-  row["config.seed"] = static_cast<double>(r.config.seed);
-  row["config.num_senders"] = static_cast<double>(r.config.num_senders);
-  row["config.rx_threads"] = static_cast<double>(r.config.rx_threads);
-  row["config.antagonist_cores"] = static_cast<double>(r.config.antagonist_cores);
-  const Metrics& m = r.metrics;
-  row["metrics.app_throughput_gbps"] = m.app_throughput_gbps;
-  row["metrics.link_utilization"] = m.link_utilization;
-  row["metrics.drop_rate"] = m.drop_rate;
-  row["metrics.iotlb_misses_per_packet"] = m.iotlb_misses_per_packet;
-  row["metrics.memory_total_gbytes_per_sec"] = m.memory.total_gbytes_per_sec;
-  row["metrics.host_delay_p50_us"] = m.host_delay_p50_us;
-  row["metrics.host_delay_p99_us"] = m.host_delay_p99_us;
-  row["metrics.victim_read_p99_us"] = m.victim_read_p99_us;
-  row["metrics.nic_buffer_drops"] = static_cast<double>(m.nic_buffer_drops);
-  row["metrics.retransmits"] = static_cast<double>(m.retransmits);
-  row["metrics.avg_cwnd"] = m.avg_cwnd;
-  row["metrics.run_status"] = static_cast<double>(static_cast<int>(m.run_status));
+  add_columns(r.config, "config.", &row);
+  add_columns(r.metrics, "metrics.", &row);
   for (const auto& [key, value] : r.extra) row["extra." + key] = value;
   return row;
 }

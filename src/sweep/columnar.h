@@ -9,8 +9,8 @@
 // Determinism contract: field order is sorted-by-name and values are
 // written with put_double (shortest round-trip form), so the same
 // results produce byte-identical files on every platform and for any
-// sweep/cluster parallelism. parse() reads the format back
-// (round-trip pinned by tests/workload_test.cpp).
+// sweep/cluster parallelism. Nothing in the tree reads the format
+// back; analysis tools load it as plain JSON.
 #pragma once
 
 #include <cstddef>
@@ -30,27 +30,18 @@ class ColumnarTable {
   /// rows; fields absent from this row get 0.0.
   void add_row(const std::map<std::string, double>& row);
 
-  [[nodiscard]] std::size_t rows() const { return rows_; }
-  /// Field names in serialization (sorted) order.
-  [[nodiscard]] std::vector<std::string> fields() const;
-  /// The column for `field`; empty vector if the field is unknown.
-  [[nodiscard]] const std::vector<double>& column(const std::string& field) const;
-
   /// Writes the "hicc.sweepc.v1" JSON document.
   void write(std::ostream& os) const;
-  [[nodiscard]] bool save(const std::string& path) const;
-
-  /// Parses a document produced by write(); returns false (and leaves
-  /// `out` unspecified) on malformed input or a wrong schema tag.
-  [[nodiscard]] static bool parse(std::istream& is, ColumnarTable* out);
 
  private:
   std::map<std::string, std::vector<double>> columns_;
   std::size_t rows_ = 0;
 };
 
-/// Flattens one sweep point to the columnar scalar universe: index,
-/// wall_seconds, seed, the headline metrics, and every `extra` probe.
+/// Flattens one sweep point to every numeric key of its hicc.sweep.v1
+/// record: index, wall_seconds, each numeric `config.*` and `metrics.*`
+/// key (bools as 0/1, run_status as its enum code; the string keys are
+/// left out) and every `extra.*` probe.
 [[nodiscard]] std::map<std::string, double> flatten(const SweepResult& r);
 
 /// Writes `results` as one "hicc.sweepc.v1" document (flatten() per

@@ -17,6 +17,7 @@
 
 #include "common/fmt.h"
 #include "common/rng.h"
+#include "core/cluster.h"
 #include "core/experiment.h"
 #include "core/validate.h"
 #include "trace/trace.h"
@@ -29,6 +30,8 @@ class JsonObject {
  public:
   JsonObject(std::ostream& os, int indent) : os_(os), indent_(indent) { os_ << "{"; }
 
+  // One overload per record value type (core/config.h, core/metrics.h
+  // for_each_field).
   void field(const char* key, double v) {
     next(key);
     put_double(os_, v);
@@ -38,6 +41,18 @@ class JsonObject {
   void field(const char* key, int v) { next(key); os_ << v; }
   void field(const char* key, bool v) { next(key); os_ << (v ? "true" : "false"); }
   void field(const char* key, const char* v) { next(key); os_ << '"' << v << '"'; }
+  void field(const char* key, const std::string& v) { field(key, v.c_str()); }
+  void field(const char* key, Bytes v) { field(key, v.count()); }
+  void field(const char* key, TimePs v) { field(key, v.us()); }
+  void field(const char* key, transport::CcAlgorithm v) { field(key, transport::to_string(v)); }
+  void field(const char* key, RunStatus v) { field(key, to_string(v)); }
+  // Spec-grammar form (docs/FAULTS.md); round-trips through
+  // fault::parse_script, so a point's scenario can be replayed from
+  // the sweep record alone.
+  void field(const char* key, const fault::FaultScript& v) { field(key, v.to_spec()); }
+  /// The record leaves out hicc.point.v1's run-control keys.
+  template <class T>
+  void field(const char* /*key*/, SpecOnly<T> /*v*/) {}
   /// Opens a nested object; the caller closes it via the returned
   /// object's close().
   void open(const char* key) { next(key); }
@@ -64,80 +79,11 @@ class JsonObject {
   bool first_ = true;
 };
 
-void write_config(std::ostream& os, const ExperimentConfig& cfg, int indent) {
+/// Writes the object of every key `for_each_field` yields for `fields`.
+template <class Fields>
+void write_object(std::ostream& os, const Fields& fields, int indent) {
   JsonObject o(os, indent);
-  o.field("num_senders", cfg.num_senders);
-  o.field("rx_threads", cfg.rx_threads);
-  o.field("read_size_bytes", cfg.read_size.count());
-  o.field("read_pipeline", cfg.read_pipeline);
-  o.field("iommu_enabled", cfg.iommu_enabled);
-  o.field("hugepages", cfg.hugepages);
-  o.field("data_region_bytes", cfg.data_region.count());
-  o.field("antagonist_cores", cfg.antagonist_cores);
-  o.field("antagonist_throttle_gbps", cfg.antagonist_throttle_gbps);
-  o.field("antagonist_remote_numa", cfg.antagonist_remote_numa);
-  o.field("ats_enabled", cfg.ats_enabled);
-  o.field("strict_iommu", cfg.strict_iommu);
-  o.field("ddio_enabled", cfg.ddio.enabled);
-  o.field("victim_flows", cfg.victim_flows);
-  o.field("victim_read_size_bytes", cfg.victim_read_size.count());
-  o.field("cc", transport::to_string(cfg.cc));
-  o.field("swift_host_target_us", cfg.swift.host_target.us());
-  o.field("iotlb_entries", cfg.iommu.iotlb_entries);
-  o.field("nic_buffer_bytes", cfg.nic.input_buffer.count());
-  o.field("pcie_gigatransfers_per_lane", cfg.pcie.gigatransfers_per_lane);
-  o.field("warmup_us", cfg.warmup.us());
-  o.field("measure_us", cfg.measure.us());
-  o.field("seed", cfg.seed);
-  // Spec-grammar form (docs/FAULTS.md); round-trips through
-  // fault::parse_script, so a point's scenario can be replayed from
-  // the sweep record alone.
-  o.field("faults", cfg.faults.to_spec().c_str());
-  o.close();
-}
-
-void write_metrics(std::ostream& os, const Metrics& m, int indent) {
-  JsonObject o(os, indent);
-  o.field("app_throughput_gbps", m.app_throughput_gbps);
-  o.field("link_utilization", m.link_utilization);
-  o.field("drop_rate", m.drop_rate);
-  o.field("iotlb_misses_per_packet", m.iotlb_misses_per_packet);
-  o.field("memory_total_gbytes_per_sec", m.memory.total_gbytes_per_sec);
-  o.field("memory_nic_dma_gbytes_per_sec",
-          m.memory.by_class_gbytes_per_sec[static_cast<int>(mem::MemClass::kNicDma)]);
-  o.field("memory_iommu_walk_gbytes_per_sec",
-          m.memory.by_class_gbytes_per_sec[static_cast<int>(mem::MemClass::kIommuWalk)]);
-  o.field("memory_cpu_copy_gbytes_per_sec",
-          m.memory.by_class_gbytes_per_sec[static_cast<int>(mem::MemClass::kCpuCopy)]);
-  o.field("memory_antagonist_gbytes_per_sec",
-          m.memory.by_class_gbytes_per_sec[static_cast<int>(mem::MemClass::kAntagonist)]);
-  o.field("remote_memory_total_gbytes_per_sec", m.remote_memory.total_gbytes_per_sec);
-  o.field("host_delay_p50_us", m.host_delay_p50_us);
-  o.field("host_delay_p99_us", m.host_delay_p99_us);
-  o.field("host_delay_max_us", m.host_delay_max_us);
-  o.field("victim_reads", m.victim_reads);
-  o.field("victim_read_p50_us", m.victim_read_p50_us);
-  o.field("victim_read_p99_us", m.victim_read_p99_us);
-  o.field("data_packets_sent", m.data_packets_sent);
-  o.field("retransmits", m.retransmits);
-  o.field("rto_fires", m.rto_fires);
-  o.field("delivered_packets", m.delivered_packets);
-  o.field("nic_buffer_drops", m.nic_buffer_drops);
-  o.field("fabric_drops", m.fabric_drops);
-  o.field("iotlb_misses", m.iotlb_misses);
-  o.field("iotlb_lookups", m.iotlb_lookups);
-  o.field("pcie_translation_stalls", m.pcie_translation_stalls);
-  o.field("pcie_write_buffer_stalls", m.pcie_write_buffer_stalls);
-  o.field("hol_descriptor_stalls", m.hol_descriptor_stalls);
-  o.field("avg_cwnd", m.avg_cwnd);
-  o.field("fault_windows", m.fault_windows);
-  o.field("fault_drops", m.fault_drops);
-  o.field("fault_active_us", m.fault_active_us);
-  o.field("fault_blind_us", m.fault_blind_us);
-  o.field("run_status", to_string(m.run_status));
-  o.field("run_status_detail", m.run_status_detail.c_str());
-  o.field("simulated_seconds", m.simulated_seconds);
-  o.field("events_executed", m.events_executed);
+  for_each_field(fields, [&o](const char* key, const auto& v) { o.field(key, v); });
   o.close();
 }
 
@@ -269,14 +215,43 @@ void harvest_trace_probes(trace::Tracer* tracer, SweepResult& r) {
   }
 }
 
+std::vector<SweepResult> cluster_points(ClusterExperiment& exp, const ClusterMetrics& cm,
+                                        std::size_t first_index) {
+  std::vector<SweepResult> points(static_cast<std::size_t>(exp.num_receivers()));
+  for (int r = 0; r < exp.num_receivers(); ++r) {
+    SweepResult& p = points[static_cast<std::size_t>(r)];
+    p.index = first_index + static_cast<std::size_t>(r);
+    p.config = exp.config().host;
+    p.metrics = cm.per_receiver[static_cast<std::size_t>(r)];
+    p.extra["host"] = r;
+    p.extra["cluster.port_drops"] = static_cast<double>(exp.fabric().host_port_drops(r));
+    p.extra["cluster.port_queue_bytes"] = static_cast<double>(exp.fabric().host_queue(r).count());
+    if (!cm.workload.enabled) continue;
+    const WorkloadMetrics& w = cm.workload;
+    p.extra["workload.flows_started"] = static_cast<double>(w.flows_started);
+    p.extra["workload.flows_completed"] = static_cast<double>(w.flows_completed);
+    p.extra["workload.pool_exhausted"] = static_cast<double>(w.pool_exhausted);
+    p.extra["workload.active_flows"] = static_cast<double>(w.active_flows);
+    p.extra["workload.fct_p50_us"] = w.fct_p50_us;
+    p.extra["workload.fct_p99_us"] = w.fct_p99_us;
+    p.extra["workload.fct_p999_us"] = w.fct_p999_us;
+    p.extra["workload.slowdown_p50"] = w.slowdown_p50;
+    p.extra["workload.slowdown_p99"] = w.slowdown_p99;
+    p.extra["workload.slowdown_p999"] = w.slowdown_p999;
+    p.extra["workload.host_delay_p99_us"] = w.host_delay_p99_us;
+    p.extra["workload.host_delay_p999_us"] = w.host_delay_p999_us;
+  }
+  return points;
+}
+
 void write_point(std::ostream& os, const SweepResult& r) {
   JsonObject o(os, 4);
   o.field("index", r.index);
   o.field("wall_seconds", r.wall_seconds);
   o.open("config");
-  write_config(os, r.config, 6);
+  write_object(os, r.config, 6);
   o.open("metrics");
-  write_metrics(os, r.metrics, 6);
+  write_object(os, r.metrics, 6);
   if (!r.extra.empty()) {
     o.open("extra");
     JsonObject e(os, 6);

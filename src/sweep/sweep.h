@@ -36,7 +36,9 @@
 #include "core/metrics.h"
 
 namespace hicc {
+class ClusterExperiment;
 class Experiment;
+struct ClusterMetrics;
 namespace trace {
 class Tracer;
 }
@@ -116,6 +118,16 @@ void harvest_trace(Experiment& exp, SweepResult& r);
 /// `tracer` into `r.extra` as `trace.<probe-name>`. No-op on nullptr.
 /// (Distinct name so `probe = harvest_trace` stays unambiguous.)
 void harvest_trace_probes(trace::Tracer* tracer, SweepResult& r);
+
+/// One point per receiver of a finished cluster run, receiver r at
+/// index first_index + r: the effective per-host config, r's Metrics,
+/// and extras carrying the host index and its fabric port's drops and
+/// queue. A run with a workload adds the cluster-merged workload.*
+/// quantiles, the same on every row. hicc_cli --topology and the
+/// point worker both build their records here.
+[[nodiscard]] std::vector<SweepResult> cluster_points(ClusterExperiment& exp,
+                                                      const ClusterMetrics& cm,
+                                                      std::size_t first_index);
 
 /// Writes one point's JSON object element exactly as write_json emits
 /// it inside the "points" array (4-space object indent, no leading

@@ -13,11 +13,13 @@
 //   - the exit code says how it went (ExitCode below -- the same codes
 //     hicc_cli uses, asserted by CI).
 //
-// The spec covers exactly the config surface that hicc.sweep.v1
-// records serialize (sweep.cpp write_config) plus run-control,
-// watchdog, trace, and optional cluster-topology keys; a worker record
-// therefore matches what the in-process SweepRunner would produce for
-// the same point, byte for byte except wall_seconds.
+// The spec's config keys are the ones the config visitor yields
+// (core/config.h for_each_field): the 24 keys of a hicc.sweep.v1
+// record's config plus four SpecOnly run-control keys (watchdog budget
+// and tracing). Index, attempt, inject and the optional cluster-topology
+// keys are the spec's own. A worker record therefore matches what the
+// in-process SweepRunner would produce for the same point, byte for
+// byte except wall_seconds.
 #pragma once
 
 #include <cstdint>

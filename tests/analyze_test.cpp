@@ -244,13 +244,14 @@ TEST(AnalyzeFileRules, EveryRuleHasAPositiveAndASuppressedTwin) {
         "hot-heap-alloc", "hot-vector-growth", "hot-marker-missing", "layer-dag",
         "layer-trace-header", "docs-probe-undocumented", "docs-probe-dynamic",
         "par-static-mutable", "par-engine-post", "docs-par-knob", "rob-exit",
-        "docs-run-status"}) {
+        "docs-run-status", "docs-metric"}) {
     EXPECT_NE(out.find(std::string(": ") + rule + ": "), std::string::npos) << rule;
   }
   for (const char* twin :
        {"wallclock_allowed", "config_hook", "pool.push_back", "marker_suppressed",
         "nic.waived_probe", "trace/sinks_internal.h", "transport/swift.h",
-        "g_calibration_allowed", "waived_knob", "quick_exit", "waived_status"}) {
+        "g_calibration_allowed", "waived_knob", "quick_exit", "waived_status",
+        "waived_metric"}) {
     EXPECT_EQ(out.find(twin), std::string::npos) << "suppressed twin leaked: " << twin;
   }
 }
@@ -293,7 +294,7 @@ TEST(AnalyzeReport, JsonShapeIsDeterministic) {
 
 TEST(AnalyzeReport, RuleCatalogIsSorted) {
   std::vector<std::string> ids = rule_ids();
-  EXPECT_EQ(ids.size(), 24u);
+  EXPECT_EQ(ids.size(), 25u);
   EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
   std::set<std::string> families;
   for (const std::string& id : ids) families.insert(id.substr(0, id.find('-')));

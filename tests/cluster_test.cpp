@@ -11,6 +11,7 @@
 #include "core/experiment.h"
 #include "core/validate.h"
 #include "fault/script.h"
+#include "same_metrics.h"
 #include "trace/trace.h"
 
 namespace hicc {
@@ -32,40 +33,6 @@ ClusterConfig small_cluster() {
   cfg.topology.spines = 2;
   cfg.topology.hosts_per_leaf = 4;
   return cfg;
-}
-
-// Every physical Metrics field; the executed-event count is compared
-// separately where the two runs share an engine.
-void expect_physically_identical(const Metrics& a, const Metrics& b) {
-  EXPECT_EQ(a.app_throughput_gbps, b.app_throughput_gbps);
-  EXPECT_EQ(a.link_utilization, b.link_utilization);
-  EXPECT_EQ(a.drop_rate, b.drop_rate);
-  EXPECT_EQ(a.iotlb_misses_per_packet, b.iotlb_misses_per_packet);
-  EXPECT_EQ(a.memory.total_gbytes_per_sec, b.memory.total_gbytes_per_sec);
-  EXPECT_EQ(a.remote_memory.total_gbytes_per_sec, b.remote_memory.total_gbytes_per_sec);
-  EXPECT_EQ(a.host_delay_p50_us, b.host_delay_p50_us);
-  EXPECT_EQ(a.host_delay_p99_us, b.host_delay_p99_us);
-  EXPECT_EQ(a.host_delay_max_us, b.host_delay_max_us);
-  EXPECT_EQ(a.data_packets_sent, b.data_packets_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.rto_fires, b.rto_fires);
-  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-  EXPECT_EQ(a.nic_buffer_drops, b.nic_buffer_drops);
-  EXPECT_EQ(a.fabric_drops, b.fabric_drops);
-  EXPECT_EQ(a.iotlb_misses, b.iotlb_misses);
-  EXPECT_EQ(a.iotlb_lookups, b.iotlb_lookups);
-  EXPECT_EQ(a.pcie_translation_stalls, b.pcie_translation_stalls);
-  EXPECT_EQ(a.pcie_write_buffer_stalls, b.pcie_write_buffer_stalls);
-  EXPECT_EQ(a.hol_descriptor_stalls, b.hol_descriptor_stalls);
-  EXPECT_EQ(a.victim_reads, b.victim_reads);
-  EXPECT_EQ(a.victim_read_p99_us, b.victim_read_p99_us);
-  EXPECT_EQ(a.avg_cwnd, b.avg_cwnd);
-  EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
-}
-
-void expect_bitwise_identical(const Metrics& a, const Metrics& b) {
-  expect_physically_identical(a, b);
-  EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
 // ------------------------------------------------------------ parity
@@ -92,7 +59,7 @@ TEST(ClusterParity, DegenerateClosReproducesLegacyMetricsBitwise) {
     const ClusterMetrics cm = cluster.run();
 
     ASSERT_EQ(cm.per_receiver.size(), 1u);
-    expect_bitwise_identical(lm, cm.per_receiver[0]);
+    expect_same_metrics(lm, cm.per_receiver[0]);
     EXPECT_EQ(cm.run_status, RunStatus::kOk);
     EXPECT_EQ(cm.total_nic_buffer_drops, lm.nic_buffer_drops);
     EXPECT_EQ(cm.total_data_packets_sent, lm.data_packets_sent);
@@ -124,7 +91,7 @@ TEST(ClusterDeterminism, SameSeedReproducesEveryReceiverBitwise) {
   ASSERT_EQ(ma.per_receiver.size(), 2u);
   ASSERT_EQ(mb.per_receiver.size(), 2u);
   for (std::size_t r = 0; r < ma.per_receiver.size(); ++r) {
-    expect_bitwise_identical(ma.per_receiver[r], mb.per_receiver[r]);
+    expect_same_metrics(ma.per_receiver[r], mb.per_receiver[r]);
   }
   EXPECT_EQ(ma.total_fabric_drops, mb.total_fabric_drops);
   EXPECT_EQ(ma.events_executed, mb.events_executed);

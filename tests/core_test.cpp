@@ -7,6 +7,7 @@
 #include "core/config.h"
 #include "core/experiment.h"
 #include "core/model.h"
+#include "same_metrics.h"
 
 namespace hicc {
 namespace {
@@ -94,10 +95,7 @@ TEST(Experiment, DeterministicForSameSeed) {
   Experiment b(cfg);
   const Metrics ma = a.run();
   const Metrics mb = b.run();
-  EXPECT_EQ(ma.delivered_packets, mb.delivered_packets);
-  EXPECT_DOUBLE_EQ(ma.app_throughput_gbps, mb.app_throughput_gbps);
-  EXPECT_EQ(ma.iotlb_misses, mb.iotlb_misses);
-  EXPECT_EQ(ma.events_executed, mb.events_executed);
+  expect_same_metrics(ma, mb);
 }
 
 TEST(Experiment, DifferentSeedsDiffer) {
@@ -126,8 +124,7 @@ TEST(Experiment, IncrementalAdvanceMatchesRun) {
 
   Experiment whole(cfg);
   const Metrics m = whole.run();
-  EXPECT_DOUBLE_EQ(stepped.app_throughput_gbps, m.app_throughput_gbps);
-  EXPECT_EQ(stepped.delivered_packets, m.delivered_packets);
+  expect_same_metrics(stepped, m);
 }
 
 TEST(Experiment, SnapshotBeforeAdvanceIsEmpty) {

@@ -15,6 +15,7 @@
 #include "core/cluster.h"
 #include "core/validate.h"
 #include "fault/script.h"
+#include "same_metrics.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "sweep/sweep.h"
@@ -339,35 +340,6 @@ ClusterConfig parallel_cluster(int parallelism) {
   return cfg;
 }
 
-void expect_bitwise_identical(const Metrics& a, const Metrics& b) {
-  EXPECT_EQ(a.app_throughput_gbps, b.app_throughput_gbps);
-  EXPECT_EQ(a.link_utilization, b.link_utilization);
-  EXPECT_EQ(a.drop_rate, b.drop_rate);
-  EXPECT_EQ(a.iotlb_misses_per_packet, b.iotlb_misses_per_packet);
-  EXPECT_EQ(a.memory.total_gbytes_per_sec, b.memory.total_gbytes_per_sec);
-  EXPECT_EQ(a.remote_memory.total_gbytes_per_sec, b.remote_memory.total_gbytes_per_sec);
-  EXPECT_EQ(a.host_delay_p50_us, b.host_delay_p50_us);
-  EXPECT_EQ(a.host_delay_p99_us, b.host_delay_p99_us);
-  EXPECT_EQ(a.host_delay_max_us, b.host_delay_max_us);
-  EXPECT_EQ(a.data_packets_sent, b.data_packets_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.rto_fires, b.rto_fires);
-  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-  EXPECT_EQ(a.nic_buffer_drops, b.nic_buffer_drops);
-  EXPECT_EQ(a.fabric_drops, b.fabric_drops);
-  EXPECT_EQ(a.iotlb_misses, b.iotlb_misses);
-  EXPECT_EQ(a.iotlb_lookups, b.iotlb_lookups);
-  EXPECT_EQ(a.pcie_translation_stalls, b.pcie_translation_stalls);
-  EXPECT_EQ(a.pcie_write_buffer_stalls, b.pcie_write_buffer_stalls);
-  EXPECT_EQ(a.hol_descriptor_stalls, b.hol_descriptor_stalls);
-  EXPECT_EQ(a.victim_reads, b.victim_reads);
-  EXPECT_EQ(a.victim_read_p99_us, b.victim_read_p99_us);
-  EXPECT_EQ(a.avg_cwnd, b.avg_cwnd);
-  EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.run_status, b.run_status);
-}
-
 // Runs one traced parallel cluster and returns everything downstream
 // output is built from: the metrics, the full sample stream (what the
 // CSV/Chrome exporters serialize), and the harvested probe map (what
@@ -420,7 +392,7 @@ void expect_same_traced_run(const TracedRun& one, const TracedRun& other) {
   ASSERT_EQ(one.metrics.per_receiver.size(), 2u);
   ASSERT_EQ(other.metrics.per_receiver.size(), 2u);
   for (std::size_t r = 0; r < one.metrics.per_receiver.size(); ++r) {
-    expect_bitwise_identical(one.metrics.per_receiver[r], other.metrics.per_receiver[r]);
+    expect_same_metrics(one.metrics.per_receiver[r], other.metrics.per_receiver[r]);
   }
   EXPECT_EQ(one.metrics.events_executed, other.metrics.events_executed);
   EXPECT_EQ(one.metrics.total_fabric_drops, other.metrics.total_fabric_drops);
@@ -484,7 +456,7 @@ TEST(ClusterParallelParity, SameSeedReproducesParallelRunsBitwise) {
   const ClusterMetrics mb = b.run();
   ASSERT_EQ(ma.per_receiver.size(), mb.per_receiver.size());
   for (std::size_t r = 0; r < ma.per_receiver.size(); ++r) {
-    expect_bitwise_identical(ma.per_receiver[r], mb.per_receiver[r]);
+    expect_same_metrics(ma.per_receiver[r], mb.per_receiver[r]);
   }
   EXPECT_EQ(ma.events_executed, mb.events_executed);
   EXPECT_GT(ma.partitions, 1);

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "core/experiment.h"
+#include "same_metrics.h"
 #include "sweep/sweep.h"
 
 namespace hicc::sweep {
@@ -37,25 +38,6 @@ std::vector<ExperimentConfig> test_points(int n) {
   return points;
 }
 
-void expect_metrics_eq(const Metrics& a, const Metrics& b) {
-  EXPECT_EQ(a.app_throughput_gbps, b.app_throughput_gbps);
-  EXPECT_EQ(a.link_utilization, b.link_utilization);
-  EXPECT_EQ(a.drop_rate, b.drop_rate);
-  EXPECT_EQ(a.iotlb_misses_per_packet, b.iotlb_misses_per_packet);
-  EXPECT_EQ(a.memory.total_gbytes_per_sec, b.memory.total_gbytes_per_sec);
-  EXPECT_EQ(a.host_delay_p50_us, b.host_delay_p50_us);
-  EXPECT_EQ(a.host_delay_p99_us, b.host_delay_p99_us);
-  EXPECT_EQ(a.data_packets_sent, b.data_packets_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-  EXPECT_EQ(a.nic_buffer_drops, b.nic_buffer_drops);
-  EXPECT_EQ(a.iotlb_misses, b.iotlb_misses);
-  EXPECT_EQ(a.iotlb_lookups, b.iotlb_lookups);
-  EXPECT_EQ(a.pcie_translation_stalls, b.pcie_translation_stalls);
-  EXPECT_EQ(a.avg_cwnd, b.avg_cwnd);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-}
-
 TEST(SweepRunner, ParallelMatchesSerialOn16Points) {
   const auto points = test_points(16);
 
@@ -72,7 +54,7 @@ TEST(SweepRunner, ParallelMatchesSerialOn16Points) {
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       SCOPED_TRACE("point " + std::to_string(i) + " @ jobs=" + std::to_string(jobs));
-      expect_metrics_eq(parallel[i].metrics, serial[i].metrics);
+      expect_same_metrics(parallel[i].metrics, serial[i].metrics);
     }
   }
 }
@@ -103,7 +85,7 @@ TEST(SweepRunner, PointMetricsIndependentOfListOrder) {
   const std::size_t n = forward.size();
   for (std::size_t i = 0; i < n; ++i) {
     SCOPED_TRACE("point " + std::to_string(i));
-    expect_metrics_eq(forward[i].metrics, backward[n - 1 - i].metrics);
+    expect_same_metrics(forward[i].metrics, backward[n - 1 - i].metrics);
   }
 }
 

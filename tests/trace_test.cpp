@@ -19,6 +19,7 @@
 #include "core/experiment.h"
 #include "fault/script.h"
 #include "fmt_reference.h"
+#include "same_metrics.h"
 #include "sim/simulator.h"
 #include "sweep/sweep.h"
 #include "trace/exporters.h"
@@ -656,30 +657,6 @@ TEST(TracedExperiment, ClusterOpenLoopProbeValuesMatchTestLocalRecompute) {
 
 // --------------------------------------------------- no perturbation
 
-void expect_same_except_events(const Metrics& a, const Metrics& b) {
-  EXPECT_EQ(a.app_throughput_gbps, b.app_throughput_gbps);
-  EXPECT_EQ(a.link_utilization, b.link_utilization);
-  EXPECT_EQ(a.drop_rate, b.drop_rate);
-  EXPECT_EQ(a.iotlb_misses_per_packet, b.iotlb_misses_per_packet);
-  EXPECT_EQ(a.memory.total_gbytes_per_sec, b.memory.total_gbytes_per_sec);
-  EXPECT_EQ(a.host_delay_p50_us, b.host_delay_p50_us);
-  EXPECT_EQ(a.host_delay_p99_us, b.host_delay_p99_us);
-  EXPECT_EQ(a.host_delay_max_us, b.host_delay_max_us);
-  EXPECT_EQ(a.data_packets_sent, b.data_packets_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.rto_fires, b.rto_fires);
-  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-  EXPECT_EQ(a.nic_buffer_drops, b.nic_buffer_drops);
-  EXPECT_EQ(a.fabric_drops, b.fabric_drops);
-  EXPECT_EQ(a.iotlb_misses, b.iotlb_misses);
-  EXPECT_EQ(a.iotlb_lookups, b.iotlb_lookups);
-  EXPECT_EQ(a.pcie_translation_stalls, b.pcie_translation_stalls);
-  EXPECT_EQ(a.pcie_write_buffer_stalls, b.pcie_write_buffer_stalls);
-  EXPECT_EQ(a.hol_descriptor_stalls, b.hol_descriptor_stalls);
-  EXPECT_EQ(a.avg_cwnd, b.avg_cwnd);
-  EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
-}
-
 TEST(TracedExperiment, TracingPerturbsNothingButEventCount) {
   Experiment untraced(small_config());
   const Metrics base = untraced.run();
@@ -689,7 +666,7 @@ TEST(TracedExperiment, TracingPerturbsNothingButEventCount) {
   Experiment traced(cfg);
   const Metrics m = traced.run();
 
-  expect_same_except_events(base, m);
+  expect_same_metrics(base, m, {"events_executed"});
   // The sampler's ticks are the only addition to the event stream.
   EXPECT_GT(m.events_executed, base.events_executed);
 }
@@ -701,8 +678,7 @@ TEST(TracedExperiment, DisabledTracingIsBitwiseIdentical) {
   Experiment b(cfg);
   const Metrics ma = a.run();
   const Metrics mb = b.run();
-  expect_same_except_events(ma, mb);
-  EXPECT_EQ(ma.events_executed, mb.events_executed);
+  expect_same_metrics(ma, mb);
 }
 
 // -------------------------------------------------------- sweep probe
