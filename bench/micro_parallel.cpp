@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "core/cluster.h"
 #include "micro_bench.h"
@@ -50,10 +51,10 @@ void BM_ParallelWindowBarrier(benchmark::State& state) {
 BENCHMARK(BM_ParallelWindowBarrier)->Arg(1)->Arg(2);
 
 /// Cross-partition mailbox throughput: every host partition posts 8
-/// messages into the fabric partition each window (64 total), the
-/// barrier drains, merge-sorts by (time, src, seq), and schedules them.
-/// Items/s is messages per wall-second; the merge path must stay
-/// allocation-free once the reserved rows are warm.
+/// messages into the fabric partition each window (64 total, over 8
+/// channels), the barrier drains, merge-sorts by (time, src, seq), and
+/// schedules them. Items/s is messages per wall-second; the merge path
+/// must stay allocation-free once the reserved channels are warm.
 void BM_ParallelMailboxMerge(benchmark::State& state) {
   constexpr int kPerSource = 8;
   sim::ParallelParams params;
@@ -61,19 +62,21 @@ void BM_ParallelMailboxMerge(benchmark::State& state) {
   params.lookahead = TimePs::from_us(2);
   params.threads = 1;
   sim::ParallelEngine engine(params);
+  std::vector<sim::ParallelEngine::Channel> to_fabric;
+  for (int src = 1; src < params.partitions; ++src) to_fabric.push_back(engine.connect(src, 0));
   std::uint64_t sink = 0;
   TimePs end = engine.now();
   const auto window = [&] {
     const TimePs due = end + params.lookahead;
-    for (int src = 1; src < params.partitions; ++src) {
+    for (const sim::ParallelEngine::Channel channel : to_fabric) {
       for (int i = 0; i < kPerSource; ++i) {
-        engine.post(src, 0, due, [&sink] { ++sink; });
+        engine.post(channel, due, [&sink] { ++sink; });
       }
     }
     end = due;
     engine.run_until(end);
   };
-  window();  // warm the mailbox rows and the destination queue
+  window();  // warm the channels and the destination queue
   AllocTally tally(state);
   for (auto _ : state) window();
   benchmark::DoNotOptimize(sink);

@@ -4,8 +4,10 @@
 // and prints the metrics (or a time series with --timeline-us=N).
 // With --runs=N it becomes a Monte-Carlo sweep: N replicas with seeds
 // derived from --seed run on the sweep thread pool (--jobs=N or
-// $HICC_JOBS workers), printing per-replica rows plus mean/stddev and
-// optionally writing the structured record with --json=path.
+// $HICC_JOBS workers), printing per-replica rows plus mean/stddev.
+// Every mode but --timeline-us writes its structured hicc.sweep.v1
+// record with --json=path, and all but --isolate its columnar form
+// with --columnar-out=path.
 //
 //   $ ./hicc_cli --threads=16 --iommu=1
 //   $ ./hicc_cli --threads=12 --antagonists=15 --iommu=0 --timeline-us=2000
@@ -48,6 +50,7 @@
 #include "sweep/sweep.h"
 #include "sweep/worker.h"
 #include "trace/exporters.h"
+#include "transport/cc.h"
 
 namespace {
 
@@ -129,16 +132,16 @@ void usage() {
       "  --remote-numa=0|1  antagonist on the other node (default 0)\n"
       "  --mba-gbs=X        antagonist bandwidth cap, GB/s (default off)\n"
       "protocol:\n"
-      "  --cc=swift|tcp|host-signal   (default swift)\n"
+      "  --cc=swift|tcp-like|host-signal  (default swift; tcp is short\n"
+      "                     for tcp-like)\n"
       "  --host-target-us=N           Swift host target (default 100)\n"
       "topology (docs/TOPOLOGY.md):\n"
       "  --topology=LxSxH   run a Clos cluster instead of the single-host\n"
       "                     experiment: L leaves x S spines x H total hosts\n"
       "                     (H divides evenly across the leaves), e.g. 2x2x8.\n"
       "                     --senders is ignored; sender machines are the\n"
-      "                     hosts that are not receivers. With --json, the\n"
-      "                     record carries one hicc.sweep.v1 point per\n"
-      "                     receiver host\n"
+      "                     hosts that are not receivers. Its record\n"
+      "                     carries one point per receiver host\n"
       "  --receivers=N      hosts 0..N-1 run full receiver stacks; the rest\n"
       "                     serve reads to every receiver (default 1)\n"
       "  --ecmp-seed=N      stateless ECMP hash seed (default 1)\n"
@@ -171,8 +174,6 @@ void usage() {
       "                     (0 = unbounded, the default)\n"
       "  --wl-sketch-error=A  FCT/slowdown/host-delay quantile-sketch\n"
       "                     relative error bound, in (0, 0.5) (0.01)\n"
-      "  --columnar-out=PATH  also write the per-receiver record in the\n"
-      "                     compact columnar hicc.sweepc.v1 form\n"
       "faults (docs/FAULTS.md):\n"
       "  --faults=SPEC      schedule mid-run disturbances. SPEC is a ';'-\n"
       "                     separated list of kind@time[+dur][/period][,k=v...]\n"
@@ -192,7 +193,8 @@ void usage() {
       "                     datapath steps (most PCIe arrivals and write\n"
       "                     retirements) are not events and do not count\n"
       "  --timeline-us=N    print a metrics row every N us instead of a\n"
-      "                     single summary\n"
+      "                     single summary; writes no record, so it\n"
+      "                     rejects --json and --columnar-out\n"
       "telemetry (docs/OBSERVABILITY.md):\n"
       "  --trace=PATH       capture a probe time series: .csv -> long-format\n"
       "                     CSV, anything else -> Chrome trace_event JSON\n"
@@ -206,7 +208,13 @@ void usage() {
       "                     from --seed; prints each replica + mean/stddev\n"
       "  --jobs=N           sweep worker threads (default: $HICC_JOBS, else\n"
       "                     hardware concurrency)\n"
-      "  --json=PATH        write the sweep's structured record as JSON\n"
+      "records:\n"
+      "  --json=PATH        write the structured hicc.sweep.v1 record: one\n"
+      "                     point for a single run, one per replica with\n"
+      "                     --runs, one per receiver with --topology\n"
+      "  --columnar-out=PATH  also write that record in the compact\n"
+      "                     columnar hicc.sweepc.v1 form (not with\n"
+      "                     --isolate, whose records are journal bytes)\n"
       "crash isolation (docs/ROBUSTNESS.md; needs --runs):\n"
       "  --isolate          run each point in its own worker subprocess so\n"
       "                     a crashing/hanging/OOM-killed point is retried\n"
@@ -294,6 +302,32 @@ bool host_scoped_probe(const std::string& key, int* host) {
   if (i == digits_start || i >= key.size() || key[i] != '.') return false;
   *host = h;
   return true;
+}
+
+/// Writes `points` to the --json and --columnar-out paths that were
+/// given, naming each file written; false once a write failed.
+bool write_records(const Flags& flags, const std::vector<hicc::sweep::SweepResult>& points,
+                   const char* what) {
+  bool ok = true;
+  const std::string json_path = flags.str("json", "");
+  if (!json_path.empty()) {
+    if (hicc::sweep::save_json(points, json_path)) {
+      std::printf("(%s record written to %s)\n", what, json_path.c_str());
+    } else {
+      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
+      ok = false;
+    }
+  }
+  const std::string columnar_path = flags.str("columnar-out", "");
+  if (!columnar_path.empty()) {
+    if (hicc::sweep::save_columnar(points, columnar_path)) {
+      std::printf("(columnar record written to %s)\n", columnar_path.c_str());
+    } else {
+      std::fprintf(stderr, "failed to write %s\n", columnar_path.c_str());
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
@@ -474,36 +508,17 @@ int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
     }
   }
 
-  const std::string json_path = flags.str("json", "");
-  const std::string columnar_path = flags.str("columnar-out", "");
-  if (!json_path.empty() || !columnar_path.empty()) {
-    // One hicc.sweep.v1 point per receiver host, plus that receiver's
-    // slice of the trace probes.
-    std::vector<hicc::sweep::SweepResult> points = hicc::sweep::cluster_points(exp, cm, 0);
-    for (hicc::sweep::SweepResult& p : points) {
-      const int r = static_cast<int>(p.index);
-      for (const auto& [key, value] : probes.extra) {
-        int h = -1;
-        if (!host_scoped_probe(key, &h) || h == r) p.extra[key] = value;
-      }
-    }
-    if (!json_path.empty()) {
-      if (hicc::sweep::save_json(points, json_path)) {
-        std::printf("(cluster record written to %s)\n", json_path.c_str());
-      } else {
-        std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-        rc = 1;
-      }
-    }
-    if (!columnar_path.empty()) {
-      if (hicc::sweep::save_columnar(points, columnar_path)) {
-        std::printf("(columnar record written to %s)\n", columnar_path.c_str());
-      } else {
-        std::fprintf(stderr, "failed to write %s\n", columnar_path.c_str());
-        rc = 1;
-      }
+  // One hicc.sweep.v1 point per receiver host, plus that receiver's
+  // slice of the trace probes.
+  std::vector<hicc::sweep::SweepResult> points = hicc::sweep::cluster_points(exp, cm, 0);
+  for (hicc::sweep::SweepResult& p : points) {
+    const int r = static_cast<int>(p.index);
+    for (const auto& [key, value] : probes.extra) {
+      int h = -1;
+      if (!host_scoped_probe(key, &h) || h == r) p.extra[key] = value;
     }
   }
+  if (!write_records(flags, points, "cluster")) rc = 1;
   // A degraded end (watchdog abort, mailbox overflow) outranks ok but
   // not an output-file failure.
   if (rc == 0 && cm.run_status != hicc::RunStatus::kOk) rc = kExitAborted;
@@ -513,6 +528,12 @@ int run_topology(const Flags& flags, hicc::ExperimentConfig host_cfg,
 /// The --runs --isolate path: the sweep under the crash-isolating
 /// supervisor, each point a `hicc_cli --point-worker` subprocess.
 int run_isolated_sweep(const Flags& flags, const hicc::ExperimentConfig& cfg, int runs) {
+  if (!flags.str("columnar-out", "").empty()) {
+    std::fprintf(stderr,
+                 "--columnar-out does not work with --isolate, whose records are journal "
+                 "bytes; use --json\n");
+    return kExitUsage;
+  }
   std::vector<hicc::ExperimentConfig> points(static_cast<std::size_t>(runs), cfg);
   // Same per-replica seed derivation as the in-process SweepRunner's
   // reseed path, so isolated and in-process sweeps simulate the same
@@ -686,15 +707,10 @@ int main(int argc, char** argv) {
     cfg.trace.sample_period = TimePs::from_us(flags.number("trace-period-us", 5));
   }
 
+  // --cc takes the label every record carries, plus `tcp` for tcp-like.
   const std::string cc = flags.str("cc", "swift");
-  if (cc == "tcp") {
-    cfg.cc = hicc::transport::CcAlgorithm::kTcpLike;
-  } else if (cc == "host-signal") {
-    cfg.cc = hicc::transport::CcAlgorithm::kHostSignal;
-  } else if (cc == "swift") {
-    cfg.cc = hicc::transport::CcAlgorithm::kSwift;
-  } else {
-    std::fprintf(stderr, "unknown --cc=%s (swift|tcp|host-signal)\n", cc.c_str());
+  if (!hicc::transport::cc_from_string(cc == "tcp" ? "tcp-like" : cc.c_str(), &cfg.cc)) {
+    std::fprintf(stderr, "unknown --cc=%s (swift|tcp-like|host-signal)\n", cc.c_str());
     return kExitConfigInvalid;
   }
 
@@ -752,16 +768,17 @@ int main(int argc, char** argv) {
                 "(%d workers)\n",
                 mean, std::sqrt(var), runs, runner.jobs());
 
-    const std::string json_path = flags.str("json", "");
-    if (!json_path.empty()) {
-      if (hicc::sweep::save_json(results, json_path)) {
-        std::printf("(sweep record written to %s)\n", json_path.c_str());
-      } else {
-        std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-        return 1;
+    return write_records(flags, results, "sweep") ? 0 : 1;
+  }
+
+  const double timeline_us = flags.number("timeline-us", 0.0);
+  if (timeline_us > 0.0) {
+    for (const char* key : {"json", "columnar-out"}) {
+      if (!flags.str(key, "").empty()) {
+        std::fprintf(stderr, "--timeline-us has no single window to record; drop --%s\n", key);
+        return kExitUsage;
       }
     }
-    return 0;
   }
 
   hicc::Experiment exp(cfg);
@@ -781,7 +798,6 @@ int main(int argc, char** argv) {
     return true;
   };
 
-  const double timeline_us = flags.number("timeline-us", 0.0);
   if (timeline_us > 0.0) {
     exp.start();
     exp.advance(cfg.warmup);
@@ -803,5 +819,12 @@ int main(int argc, char** argv) {
   const hicc::Metrics metrics = exp.run();
   print_metrics(metrics);
   if (!close_trace()) return 1;
+  // The run's one-point record. Its trace values are harvested after
+  // the capture closed, so the harvest adds no sample to the file.
+  hicc::sweep::SweepResult point;
+  point.config = cfg;
+  point.metrics = metrics;
+  hicc::sweep::harvest_trace(exp, point);
+  if (!write_records(flags, {point}, "run")) return 1;
   return metrics.run_status == hicc::RunStatus::kOk ? kExitOk : kExitAborted;
 }

@@ -74,7 +74,7 @@ class QueuedLink {
       // and a data-race-free one. The release is a reserved slot, not
       // an event: send() and queued() settle it with passed().
       releases_.push_back(Release{arrival, sim_.reserve_seq(), wire});
-      engine_->post(src_partition_, dst_partition_, arrival,
+      engine_->post(channel_, arrival,
                     [this, p = std::move(p)]() mutable { deliver_(std::move(p)); });
     }
     return true;
@@ -119,15 +119,14 @@ class QueuedLink {
   void set_drop_total(std::int64_t* total) { drop_total_ = total; }
 
   /// Marks this link as crossing partitions in a ParallelEngine run:
-  /// every send() keeps its queue/serialization bookkeeping in the
-  /// owning (src) partition but mails the delivery to `dst` via
-  /// engine->post(). Requires propagation >= the engine lookahead.
-  /// Call before the run starts; src must be the partition whose
-  /// events invoke send() on this link.
+  /// connects the engine's (src,dst) channel, and every send() keeps
+  /// its queue/serialization bookkeeping in the owning (src) partition
+  /// but mails the delivery to `dst` through that channel. Requires
+  /// propagation >= the engine lookahead. Call before the run starts;
+  /// src must be the partition whose events invoke send() on this link.
   void set_cross_partition(sim::ParallelEngine* engine, int src, int dst) {
     engine_ = engine;
-    src_partition_ = src;
-    dst_partition_ = dst;
+    channel_ = engine->connect(src, dst);
   }
 
  private:
@@ -166,8 +165,7 @@ class QueuedLink {
   std::int64_t drops_ = 0;
   std::int64_t* drop_total_ = nullptr;
   sim::ParallelEngine* engine_ = nullptr;
-  int src_partition_ = 0;
-  int dst_partition_ = 0;
+  sim::ParallelEngine::Channel channel_{};
   bool down_ = false;
   double loss_prob_ = 0.0;
   Rng* loss_rng_ = nullptr;

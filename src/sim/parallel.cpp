@@ -2,7 +2,6 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -35,10 +34,7 @@ ParallelEngine::ParallelEngine(ParallelParams params)
     // hicc-lint: allow(hot-heap-alloc) -- construction only, one per partition.
     sims_.push_back(std::make_unique<Simulator>());
   }
-  outbox_.resize(n * n);
-  for (Mailbox& box : outbox_) box.msgs.reserve(16);
-  words_ = (n + 63) / 64;
-  dirty_ = std::vector<std::atomic<std::uint64_t>>(n * words_);
+  inbound_.resize(n);
   lanes_ = std::vector<Lane>(static_cast<std::size_t>(threads_));
   for (Lane& lane : lanes_) {
     lane.keys.reserve(64);
@@ -92,16 +88,21 @@ void ParallelEngine::wake(std::atomic<std::uint32_t>& word) {
   if (parked_.load(std::memory_order_seq_cst) != 0) word.notify_all();
 }
 
-bool ParallelEngine::open_row(int src, int dst) {
-  Mailbox& box = row(src, dst);
-  if (box.msgs.empty()) {
-    const auto s = static_cast<std::size_t>(src);
-    std::atomic<std::uint64_t>& word = dirty_[static_cast<std::size_t>(dst) * words_ + s / 64];
-    word.fetch_or(std::uint64_t{1} << (s % 64), std::memory_order_relaxed);
+ParallelEngine::Channel ParallelEngine::connect(int src, int dst) {
+  if (src < 0 || src >= partitions_ || dst < 0 || dst >= partitions_) {
+    throw std::invalid_argument("ParallelEngine::connect: partition out of range");
   }
-  if (box.msgs.size() < params_.mailbox_capacity) return true;
-  box.overflowed = true;  // the overflow aborts the run at the next barrier
-  return false;
+  std::vector<Channel>& in = inbound_[static_cast<std::size_t>(dst)];
+  const auto pos =
+      std::ranges::lower_bound(in, src, {}, [this](Channel c) { return mailbox(c).src; });
+  if (pos != in.end() && mailbox(*pos).src == src) return *pos;
+  const auto channel = static_cast<Channel>(mailboxes_.size());
+  // hicc-lint: allow(hot-vector-growth) -- construction only, one per channel.
+  Mailbox& box = mailboxes_.emplace_back();
+  box.src = src;
+  box.msgs.reserve(16);
+  in.insert(pos, channel);
+  return channel;
 }
 
 void ParallelEngine::worker_main(int t) {
@@ -121,7 +122,7 @@ void ParallelEngine::run_share(int t, std::uint32_t epoch) {
     if (s.aborted() && lane.first_aborted < 0) lane.first_aborted = p;
   }
   if (threads_ > 1) {
-    // Every thread drains rows that every other thread appends to.
+    // Every thread drains channels that every other thread appends to.
     const std::uint32_t all = epoch * static_cast<std::uint32_t>(threads_);
     arrive(ran_, all);
     await(ran_, all);
@@ -130,38 +131,34 @@ void ParallelEngine::run_share(int t, std::uint32_t epoch) {
 }
 
 void ParallelEngine::drain_into(int dst, Lane& lane) {
-  std::atomic<std::uint64_t>* const dirty = &dirty_[static_cast<std::size_t>(dst) * words_];
+  const std::vector<Channel>& in = inbound_[static_cast<std::size_t>(dst)];
   lane.keys.clear();
-  for (std::size_t w = 0; w < words_; ++w) {
-    if (dirty[w].load(std::memory_order_relaxed) == 0) continue;
-    std::uint64_t bits = dirty[w].exchange(0, std::memory_order_relaxed);
-    for (; bits != 0; bits &= bits - 1) {
-      const auto src = static_cast<int>(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-      Mailbox& box = row(src, dst);
-      lane.max_depth = std::max(lane.max_depth, box.msgs.size());
-      if (box.overflowed) {
-        box.overflowed = false;
-        lane.overflowed.push_back(src);
-      }
-      const std::uint64_t base = static_cast<std::uint64_t>(src) << 32;
-      for (std::size_t i = 0; i < box.msgs.size(); ++i) {
-        lane.keys.push_back(MergeKey{box.msgs[i].time, base | i});
-      }
+  for (std::size_t j = 0; j < in.size(); ++j) {
+    Mailbox& box = mailbox(in[j]);
+    lane.max_depth = std::max(lane.max_depth, box.msgs.size());
+    if (box.overflowed) {
+      box.overflowed = false;
+      lane.overflowed.push_back(box.src);
+    }
+    const std::uint64_t base = static_cast<std::uint64_t>(j) << 32;
+    for (std::size_t i = 0; i < box.msgs.size(); ++i) {
+      lane.keys.push_back(MergeKey{box.msgs[i].time, base | i});
     }
   }
   if (lane.keys.empty()) return;
   // Canonical cross-partition order: (time, src partition, seq), the
-  // row index being the per-row seq. (src, index) pairs are unique, so
-  // this is a strict total order and plain sort is deterministic.
+  // inbound position standing in for src and the channel index being
+  // the per-channel seq. (src, index) pairs are unique, so this is a
+  // strict total order and plain sort is deterministic.
   std::sort(lane.keys.begin(), lane.keys.end(), [](const MergeKey& a, const MergeKey& b) {
     return a.time != b.time ? a.time < b.time : a.order < b.order;
   });
   Simulator& target = *sims_[static_cast<std::size_t>(dst)];
   for (const MergeKey& k : lane.keys) {
-    Mailbox& box = row(static_cast<int>(k.order >> 32), dst);
+    Mailbox& box = mailbox(in[k.order >> 32]);
     target.at(k.time, std::move(box.msgs[k.order & 0xffffffffu].fn));
   }
-  for (const MergeKey& k : lane.keys) row(static_cast<int>(k.order >> 32), dst).msgs.clear();
+  for (const Channel channel : in) mailbox(channel).msgs.clear();
   lane.delivered += lane.keys.size();
 }
 
@@ -189,7 +186,7 @@ bool ParallelEngine::check_aborts() {
 
 void ParallelEngine::run_until(TimePs end) {
   // Deliver anything posted before the run (or between run_until
-  // calls); the workers are idle, so this thread drains every row.
+  // calls); the workers are idle, so this thread drains every channel.
   for (int dst = 0; dst < partitions_; ++dst) drain_into(dst, lanes_[0]);
   while (now_ < end && !aborted()) {
     TimePs wend = end;

@@ -4,17 +4,20 @@
 // lockstep lookahead windows: within a window [t, t+L) every partition
 // executes its own events independently (no partition can affect
 // another inside the window), and at the window barrier the engine
-// drains bounded per-(src,dst) mailboxes of cross-partition events
-// into the destination simulators. L -- the lookahead -- is the
-// minimum latency of any cross-partition interaction; for a cluster
-// run it is the edge-link propagation delay, so a message posted
-// during a window always lands at or after the next window's start
-// and conservative causality holds without rollback.
+// drains the bounded channels of cross-partition events into the
+// destination simulators. A channel is one (src,dst) mailbox declared
+// with connect() before the run, so memory and per-window drain work
+// follow the pairs that exchange messages, not the P^2 possible ones.
+// L -- the lookahead -- is the minimum latency of any cross-partition
+// interaction; for a cluster run it is the edge-link propagation
+// delay, so a message posted during a window always lands at or after
+// the next window's start and conservative causality holds without
+// rollback.
 //
 // Determinism contract (docs/PARALLELISM.md): the worker-thread count
 // never influences the logical event order. Partitions are disjoint
 // and statically owned (partition p always runs on thread p mod T, the
-// coordinator being thread 0), mailbox rows are single-writer (only the
+// coordinator being thread 0), channels are single-writer (only the
 // posting partition's thread appends during a window; only the thread
 // that owns the destination drains, once every thread has finished the
 // window), and drained messages are merged in canonical
@@ -29,10 +32,10 @@
 // acquire/release handoffs on atomic counters. The coordinator
 // publishes the window by bumping an epoch; every thread counts itself
 // on a run counter once its partitions reach the window end and waits
-// for all the others, then drains the rows bound for its own
+// for all the others, then drains the channels bound for its own
 // partitions; the workers count themselves on a drain counter, which
 // the coordinator waits on before check_aborts() and the barrier hook
-// read the fully drained state. Partition state and mailbox rows
+// read the fully drained state. Partition state and channels
 // therefore always change hands with a happens-before edge. A waiter
 // yields for a bounded number of rounds, then parks in
 // std::atomic::wait; a waker calls notify_all only when a thread is
@@ -85,6 +88,9 @@ struct ParallelParams {
 /// code while a window runs.
 class ParallelEngine {
  public:
+  /// A declared (src,dst) channel: connect() returns it, post() takes it.
+  enum class Channel : std::uint32_t {};
+
   /// Starts the `threads - 1` workers. Throws std::invalid_argument
   /// when partitions > 1 and lookahead <= 0: windows would never
   /// advance time.
@@ -111,28 +117,36 @@ class ParallelEngine {
     return *sims_[static_cast<std::size_t>(p)];
   }
 
-  /// Posts `fn` to run at absolute time `t` in partition `dst`. The
-  /// ONLY legal cross-partition channel (`par-engine-post` lint rule):
-  /// callers must be executing inside partition `src` (or be the
-  /// coordinator between windows), and `t` must honor the conservative
-  /// contract t >= current window end -- guaranteed whenever the
-  /// posting path includes >= `lookahead` of propagation delay.
-  /// Messages are fire-and-forget: once posted they cannot be
-  /// cancelled from `src`; destination-local state must gate any
-  /// revocable effect (docs/PARALLELISM.md, "mailbox protocol").
+  /// Declares the channel from partition `src` to partition `dst`;
+  /// connecting a pair again returns the same channel, so a pair has
+  /// one message sequence. Call between runs. Each channel reserves 16
+  /// messages, keeping the steady state allocation-free. Throws
+  /// std::invalid_argument for a partition out of range.
+  Channel connect(int src, int dst);
+
+  /// Posts `fn` to run at absolute time `t` in the channel's
+  /// destination partition. The ONLY legal cross-partition path
+  /// (`par-engine-post` lint rule): callers must be executing inside
+  /// the channel's source partition (or be the coordinator between
+  /// windows), and `t` must honor the conservative contract t >=
+  /// current window end -- guaranteed whenever the posting path
+  /// includes >= `lookahead` of propagation delay. Messages are
+  /// fire-and-forget: once posted they cannot be cancelled from the
+  /// source; destination-local state must gate any revocable effect
+  /// (docs/PARALLELISM.md, "mailbox protocol").
   template <typename F>
-  void post(int src, int dst, TimePs t, F&& fn) {
+  void post(Channel channel, TimePs t, F&& fn) {
     assert(t >= window_end_ &&
            "conservative lookahead violated: cross-partition event lands "
            "inside the running window");
-    Mailbox& box = row(src, dst);
-    const std::size_t depth = box.msgs.size();
-    // A row's first message of the window marks it for the drain, and a
-    // full row records its overflow instead; both happen out of line.
-    if ((depth == 0 || depth >= params_.mailbox_capacity) && !open_row(src, dst)) return;
-    // hicc-lint: allow(hot-vector-growth) -- amortized: rows keep their
-    // capacity across windows (drain clears, never shrinks) and are
-    // hard-bounded by mailbox_capacity.
+    Mailbox& box = mailbox(channel);
+    if (box.msgs.size() >= params_.mailbox_capacity) {
+      box.overflowed = true;  // the overflow aborts the run at the next barrier
+      return;
+    }
+    // hicc-lint: allow(hot-vector-growth) -- amortized: channels keep
+    // their capacity across windows (drain clears, never shrinks) and
+    // are hard-bounded by mailbox_capacity.
     box.msgs.push_back(Message{t, InlineAction(std::forward<F>(fn))});
   }
 
@@ -161,26 +175,31 @@ class ParallelEngine {
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
   /// Cross-partition messages delivered through the mailboxes so far.
   [[nodiscard]] std::uint64_t messages_delivered() const;
-  /// High-water mark of any single (src,dst) mailbox row, for sizing
-  /// mailbox_capacity.
+  /// High-water mark of any single channel, for sizing mailbox_capacity.
   [[nodiscard]] std::size_t max_mailbox_depth() const;
 
  private:
-  /// One cross-partition event. Its row index is its per-row `seq`, so
-  /// `(time, src, index)` totally orders every drained message.
+  /// One cross-partition event. Its index in its channel is its
+  /// per-channel `seq`, so `(time, src, index)` totally orders every
+  /// drained message.
   struct Message {
     TimePs time{};
     InlineAction fn;
   };
 
-  /// One (src,dst) row. Single-writer: the src partition's thread
+  /// One channel's messages. Single-writer: the src partition's thread
   /// appends during a window, the dst partition's thread drains it.
-  struct Mailbox {
+  /// Aligned to 64-byte cache lines, like Lane, so channels that
+  /// different threads append to in one window do not false-share.
+  struct alignas(64) Mailbox {
     std::vector<Message> msgs;
+    int src = 0;
     bool overflowed = false;
   };
 
-  /// A drained message's sort key: `order` packs (src, row index).
+  /// A drained message's sort key: `order` packs (the channel's
+  /// position in its destination's inbound list, which orders like its
+  /// src, and the message's index in the channel).
   struct MergeKey {
     TimePs time{};
     std::uint64_t order = 0;
@@ -190,7 +209,7 @@ class ParallelEngine {
   /// cache lines so the threads' drains do not false-share.
   struct alignas(64) Lane {
     std::vector<MergeKey> keys;
-    /// Sources whose row into a partition this thread owns overflowed.
+    /// Sources whose channel into a partition this thread owns overflowed.
     std::vector<int> overflowed;
     std::uint64_t delivered = 0;
     std::size_t max_depth = 0;
@@ -198,18 +217,12 @@ class ParallelEngine {
     int first_aborted = -1;
   };
 
-  Mailbox& row(int src, int dst) {
-    const auto n = static_cast<std::size_t>(partitions_);
-    return outbox_[static_cast<std::size_t>(src) * n + static_cast<std::size_t>(dst)];
-  }
-  /// post()'s slow path: marks the row dirty on its first message and
-  /// returns false (recording the overflow) once the row is full.
-  bool open_row(int src, int dst);
+  Mailbox& mailbox(Channel channel) { return mailboxes_[static_cast<std::size_t>(channel)]; }
   /// Thread `t`'s part of window `epoch`: runs its partitions to
-  /// window_end_, waits for every thread, then drains the rows bound
-  /// for its partitions.
+  /// window_end_, waits for every thread, then drains the channels
+  /// bound for its partitions.
   void run_share(int t, std::uint32_t epoch);
-  /// Merges and schedules the messages of every dirty row bound for
+  /// Merges and schedules the messages of every channel bound for
   /// `dst`, in (time, src, seq) order.
   void drain_into(int dst, Lane& lane);
   void worker_main(int t);
@@ -237,12 +250,10 @@ class ParallelEngine {
   int first_aborted_ = -1;
 
   std::vector<std::unique_ptr<Simulator>> sims_;
-  /// Row-major [src * partitions_ + dst].
-  std::vector<Mailbox> outbox_;
-  /// Per destination, a bitmap of the sources whose row holds messages
-  /// (or an overflow): [dst * words_ + src / 64], bit src % 64.
-  std::size_t words_ = 1;
-  std::vector<std::atomic<std::uint64_t>> dirty_;
+  /// Every declared channel, indexed by Channel.
+  std::vector<Mailbox> mailboxes_;
+  /// Per destination, its inbound channels in ascending src order.
+  std::vector<std::vector<Channel>> inbound_;
   /// One per thread, indexed like the threads: 0 is the coordinator.
   std::vector<Lane> lanes_;
   InlineAction barrier_hook_;

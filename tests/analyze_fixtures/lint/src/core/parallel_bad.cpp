@@ -18,7 +18,7 @@ struct Runner {
     engine.sim(1).at(hicc::TimePs::from_us(1), [] {});  // line 18: par-engine-post
 
     // The one legal channel; must not fire.
-    engine.post(0, 1, hicc::TimePs::from_us(2), [] {});
+    engine.post(engine.connect(0, 1), hicc::TimePs::from_us(2), [] {});
   }
 
   void leak_allowed(hicc::sim::ParallelEngine& engine) {

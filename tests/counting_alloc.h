@@ -1,7 +1,8 @@
 // Counting global allocator for the binaries that assert or report
-// heap allocations (sim_test, alloc_test, bench/micro_bench). Linking
-// the hicc_counting_alloc object library replaces every global
-// `operator new`/`operator delete` overload in the binary.
+// heap allocations (sim_test, alloc_test, parallel_test,
+// bench/micro_bench). Linking the hicc_counting_alloc object library
+// replaces every global `operator new`/`operator delete` overload in
+// the binary.
 #pragma once
 
 #include <cstdint>

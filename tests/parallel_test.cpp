@@ -14,6 +14,7 @@
 
 #include "core/cluster.h"
 #include "core/validate.h"
+#include "counting_alloc.h"
 #include "fault/script.h"
 #include "same_metrics.h"
 #include "sim/parallel.h"
@@ -150,24 +151,29 @@ TEST(ParallelEngine, BarrierHookFiresOncePerWindow) {
 // partition 0 observed the mailed events. Partition `hi` posts two
 // events and partition `lo` < `hi` one, all at the SAME destination
 // timestamp -- the zero-delta cross-partition tie. The canonical merge
-// (time, src partition, per-row seq) must order them lo first, then hi
-// in posting order, on every thread count. Partition 1 also mails the
-// last partition, so both ends of the partition range carry traffic.
+// (time, src partition, per-channel seq) must order them lo first,
+// then hi in posting order, on every thread count. The hi channel is
+// connected before the lo one, so the order cannot come from
+// declaration order. Partition 1 also mails the last partition, so
+// both ends of the partition range carry traffic.
 std::vector<std::string> run_tie_merge(int partitions, int lo, int hi, int threads) {
   ParallelEngine eng(params(partitions, threads));
   std::vector<std::string> order;
   int last_received = 0;
   const TimePs fire = TimePs::from_us(4);
-  eng.sim(hi).at(TimePs::from_us(1), [&eng, &order, hi, fire] {
-    eng.post(hi, 0, fire, [&order] { order.push_back("hi.first"); });
-    eng.post(hi, 0, fire, [&order] { order.push_back("hi.second"); });
-  });
-  eng.sim(lo).at(TimePs::from_us(1), [&eng, &order, lo, fire] {
-    eng.post(lo, 0, fire, [&order] { order.push_back("lo"); });
-  });
   const int last = partitions - 1;
-  eng.sim(1).at(TimePs::from_us(1), [&eng, &last_received, last, fire] {
-    eng.post(1, last, fire, [&last_received] { ++last_received; });
+  const ParallelEngine::Channel from_hi = eng.connect(hi, 0);
+  const ParallelEngine::Channel from_lo = eng.connect(lo, 0);
+  const ParallelEngine::Channel to_last = eng.connect(1, last);
+  eng.sim(hi).at(TimePs::from_us(1), [&eng, &order, from_hi, fire] {
+    eng.post(from_hi, fire, [&order] { order.push_back("hi.first"); });
+    eng.post(from_hi, fire, [&order] { order.push_back("hi.second"); });
+  });
+  eng.sim(lo).at(TimePs::from_us(1), [&eng, &order, from_lo, fire] {
+    eng.post(from_lo, fire, [&order] { order.push_back("lo"); });
+  });
+  eng.sim(1).at(TimePs::from_us(1), [&eng, &last_received, to_last, fire] {
+    eng.post(to_last, fire, [&last_received] { ++last_received; });
   });
   eng.run_until(TimePs::from_us(10));
   EXPECT_EQ(eng.messages_delivered(), 4u);
@@ -179,8 +185,8 @@ TEST(ParallelEngine, SameTimestampCrossPartitionTiesMergeCanonically) {
   const std::vector<std::string> expected{"lo", "hi.first", "hi.second"};
   for (int threads : {1, 2, 3}) {
     EXPECT_EQ(run_tie_merge(3, 1, 2, threads), expected) << threads;
-    // Sources 65 and 66 sit in the second 64-bit word of partition 0's
-    // source bitmap, and 69 is a destination past the first 64.
+    // Sources and a destination (69) past partition 64, with partition
+    // 0's inbound channels declared out of src order.
     EXPECT_EQ(run_tie_merge(70, 65, 66, threads), expected) << threads;
   }
 }
@@ -196,9 +202,10 @@ TEST(ParallelEngine, BoundaryTimestampDeliveryOrdersAfterLocalEvents) {
     ParallelEngine eng(params(3, threads));
     std::vector<std::string> order;
     const TimePs boundary = TimePs::from_us(2);  // == first window end
+    const ParallelEngine::Channel to_0 = eng.connect(1, 0);
     eng.sim(0).at(boundary, [&order] { order.push_back("local"); });
-    eng.sim(1).at(TimePs::from_us(1), [&eng, &order, boundary] {
-      eng.post(1, 0, boundary, [&order] { order.push_back("mailed"); });
+    eng.sim(1).at(TimePs::from_us(1), [&eng, &order, to_0, boundary] {
+      eng.post(to_0, boundary, [&order] { order.push_back("mailed"); });
     });
     eng.run_until(TimePs::from_us(4));
     EXPECT_EQ(order, (std::vector<std::string>{"local", "mailed"})) << threads;
@@ -221,8 +228,9 @@ TEST(ParallelEngine, MailedClosureCancelsDestinationLocalEvent) {
         eng.sim(0).at(TimePs::from_us(9), [&bomb_fired] { bomb_fired = true; });
     // Partition 1 mails a disarm; it executes inside partition 0, where
     // touching partition-0 state (including cancel) is legal.
-    eng.sim(1).at(TimePs::from_us(1), [&eng, bomb] {
-      eng.post(1, 0, TimePs::from_us(4), [&eng, bomb] { eng.sim(0).cancel(bomb); });
+    const ParallelEngine::Channel to_0 = eng.connect(1, 0);
+    eng.sim(1).at(TimePs::from_us(1), [&eng, to_0, bomb] {
+      eng.post(to_0, TimePs::from_us(4), [&eng, bomb] { eng.sim(0).cancel(bomb); });
     });
     eng.run_until(TimePs::from_us(20));
     EXPECT_FALSE(bomb_fired) << threads;
@@ -234,15 +242,16 @@ TEST(ParallelEngine, RevocableEffectGatesOnDestinationState) {
     ParallelEngine eng(params(2, threads));
     bool cancelled = false;
     bool fired = false;
-    eng.sim(1).at(TimePs::from_us(1), [&eng, &cancelled, &fired] {
-      // Two messages from the same source row: the "cancel" merges
-      // ahead of the "fire" (earlier time wins), so the effect is
-      // suppressed even though the fire was already in the mailbox
-      // when the cancel was posted.
-      eng.post(1, 0, TimePs::from_us(6), [&cancelled, &fired] {
+    const ParallelEngine::Channel to_0 = eng.connect(1, 0);
+    eng.sim(1).at(TimePs::from_us(1), [&eng, to_0, &cancelled, &fired] {
+      // Two messages on the same channel: the "cancel" merges ahead of
+      // the "fire" (earlier time wins), so the effect is suppressed
+      // even though the fire was already in the mailbox when the
+      // cancel was posted.
+      eng.post(to_0, TimePs::from_us(6), [&cancelled, &fired] {
         if (!cancelled) fired = true;
       });
-      eng.post(1, 0, TimePs::from_us(4), [&cancelled] { cancelled = true; });
+      eng.post(to_0, TimePs::from_us(4), [&cancelled] { cancelled = true; });
     });
     eng.run_until(TimePs::from_us(10));
     EXPECT_TRUE(cancelled) << threads;
@@ -293,9 +302,10 @@ TEST(ParallelEngine, MailboxOverflowAbortsTheSourcePartition) {
     pp.mailbox_capacity = 4;
     ParallelEngine eng(pp);
     int delivered = 0;
-    eng.sim(1).at(TimePs::from_us(1), [&eng, &delivered] {
+    const ParallelEngine::Channel to_0 = eng.connect(1, 0);
+    eng.sim(1).at(TimePs::from_us(1), [&eng, to_0, &delivered] {
       for (int i = 0; i < 10; ++i) {
-        eng.post(1, 0, TimePs::from_us(4), [&delivered] { ++delivered; });
+        eng.post(to_0, TimePs::from_us(4), [&delivered] { ++delivered; });
       }
     });
     eng.run_until(TimePs::from_us(10));
@@ -318,10 +328,51 @@ TEST(ParallelEngine, MailboxOverflowAbortsTheSourcePartition) {
 TEST(ParallelEngine, CoordinatorPostsBeforeRunAreDelivered) {
   ParallelEngine eng(params(2, 2));
   int ran = 0;
-  eng.post(0, 1, TimePs::from_us(1), [&ran] { ++ran; });
+  eng.post(eng.connect(0, 1), TimePs::from_us(1), [&ran] { ++ran; });
   eng.run_until(TimePs::from_us(4));
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(eng.messages_delivered(), 1u);
+}
+
+// ---------------------------------------------------------- channels
+
+// A pair has one channel, so one per-channel seq and one capacity:
+// connecting it again hands back the same channel, and messages posted
+// through either handle merge in posting order.
+TEST(ParallelEngine, ConnectingAPairTwiceReturnsTheSameChannel) {
+  ParallelEngine eng(params(3, 1));
+  const ParallelEngine::Channel first = eng.connect(1, 0);
+  EXPECT_NE(eng.connect(0, 1), first);
+  EXPECT_NE(eng.connect(2, 0), first);
+  const ParallelEngine::Channel again = eng.connect(1, 0);
+  EXPECT_EQ(again, first);
+  std::vector<std::string> order;
+  eng.post(again, TimePs::from_us(3), [&order] { order.push_back("a"); });
+  eng.post(first, TimePs::from_us(3), [&order] { order.push_back("b"); });
+  eng.post(again, TimePs::from_us(3), [&order] { order.push_back("c"); });
+  eng.run_until(TimePs::from_us(4));
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(eng.max_mailbox_depth(), 3u);
+
+  EXPECT_THROW(eng.connect(3, 0), std::invalid_argument);
+  EXPECT_THROW(eng.connect(0, -1), std::invalid_argument);
+}
+
+// Engine memory follows the declared channels, not the partition
+// pairs: the 16x16x256 Clos shape (the fabric plus 256 hosts) with its
+// 512 host<->fabric channels stays within a few allocations per
+// partition. A dense matrix of per-pair mailboxes, each reserving its
+// messages, would make 66,049 here.
+TEST(ParallelEngine, ConstructionAllocatesPerChannelNotPerPartitionPair) {
+  constexpr int kPartitions = 257;
+  const std::uint64_t before = heap_allocations();
+  ParallelEngine eng(params(kPartitions, 1));
+  for (int host = 1; host < kPartitions; ++host) {
+    eng.connect(host, 0);
+    eng.connect(0, host);
+  }
+  const std::uint64_t allocations = heap_allocations() - before;
+  EXPECT_LT(allocations, 8u * kPartitions) << allocations;
 }
 
 // -------------------------------------------------- cluster parity
